@@ -29,10 +29,10 @@ from .report import (
     CheckReport,
     set_literal_or_digest,
 )
-from .ring import Ring
 from .setalg import (
     QuadPolySpec,
     RSet,
+    _same_ring,
     diffset,
     dilate,
     energy,
@@ -48,14 +48,6 @@ def _require_nonempty(*sets: RSet) -> None:
     for A in sets:
         if len(A) == 0:
             raise ValueError("checks need nonempty sets")
-
-
-def _same_ring(*sets: RSet) -> Ring:
-    ring = sets[0].ring
-    for A in sets[1:]:
-        if A.ring != ring:
-            raise ValueError("sets live in different rings")
-    return ring
 
 
 def _not_met(theorem, ring, rows, seed, sets) -> CheckReport:

@@ -19,19 +19,20 @@ fail the process.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .experiments import (
+    CONFIG_KEYS,
+    THEOREMS,
     ExperimentConfig,
-    load_config,
-    parse_mode,
+    config_from_fields,
+    parse_config_fields,
     run_experiment,
     summarize,
 )
 from .incidence import incidence_bound_report, load_family, weighted_bound_report
-from .report import THEOREMS, write_csv, write_jsonl
+from .report import write_csv, write_jsonl
 from .ring import parse_ring_spec
 
 
@@ -77,55 +78,36 @@ def _emit(reports, summary, out: str | None, fmt: str) -> int:
         else:
             write_jsonl(reports, out)
     else:
-        if fmt == "csv":
-            raise ValueError("csv format needs --out")
         for rep in reports:
             print(rep.to_json_line())
     print(json.dumps({"summary": summary}, separators=(",", ":")))
     return 1 if any(rep.verdict == "fail" for rep in reports) else 0
 
 
-def _config_from_check_args(args) -> ExperimentConfig:
-    literals = {
-        name: getattr(args, name)
-        for name in ("A", "B", "C")
-        if getattr(args, name) is not None
-    }
-    return ExperimentConfig(
-        theorem=args.theorem,
-        ring_spec=args.ring,
-        mode=parse_mode(args.mode) if args.mode else None,
-        seed=args.seed,
-        f=args.f,
-        poly1=args.poly1,
-        d=args.d,
-        literals=literals,
-        points=args.points,
-        planes=args.planes,
-        max_weight=args.max_weight,
-        out=args.out,
-        fmt=args.format,
-    )
+def _config(args, fields: dict[str, str]) -> ExperimentConfig:
+    """Config-file fields overridden by the flags given; refuses csv to stdout."""
+    flags = {key: getattr(args, key, None) for key in CONFIG_KEYS}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    config = config_from_fields({**fields, **flags})
+    if config.fmt == "csv" and config.out is None:
+        raise ValueError("csv format needs --out")
+    return config
 
 
-def _cmd_check(args) -> int:
-    config = _config_from_check_args(args)
-    reports, summary = run_experiment(config)
-    return _emit(reports, summary, config.out, config.fmt)
-
-
-def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    if args.out is not None:
-        config = dataclasses.replace(config, out=args.out)
-    if args.format is not None:
-        config = dataclasses.replace(config, fmt=args.format)
+def _cmd_run(args) -> int:
+    """check, geometry and sweep: one config from the file and the flags."""
+    fields = {}
+    if args.command == "sweep":
+        with open(args.config) as fh:
+            fields = parse_config_fields(fh)
+    config = _config(args, fields)
     reports, summary = run_experiment(config)
     return _emit(reports, summary, config.out, config.fmt)
 
 
 def _cmd_incidence(args) -> int:
-    ring = parse_ring_spec(args.ring)
+    config = _config(args, {"theorem": "T2_4" if args.weighted else "T2_2"})
+    ring = parse_ring_spec(config.ring_spec)
     points = load_family(ring, args.points_file)
     planes = load_family(ring, args.planes_file)
     if args.weighted:
@@ -135,29 +117,12 @@ def _cmd_incidence(args) -> int:
             if fam.max_weight != 1:
                 raise ValueError(f"{label} file carries weights; pass --weighted")
         rep = incidence_bound_report(ring, points.items, planes.items, seed=None)
-    stub = ExperimentConfig(theorem=rep.theorem, ring_spec=args.ring)
-    return _emit([rep], summarize(stub, [rep], 1), args.out, args.format)
-
-
-def _cmd_geometry(args) -> int:
-    config = ExperimentConfig(
-        theorem="T7_1",
-        ring_spec=args.ring,
-        mode=parse_mode(args.mode) if args.mode else None,
-        seed=args.seed,
-        literals={"A": args.A} if args.A is not None else {},
-        out=args.out,
-        fmt=args.format,
-    )
-    reports, summary = run_experiment(config)
-    return _emit(reports, summary, config.out, config.fmt)
+    return _emit([rep], summarize(config, [rep], 1), config.out, config.fmt)
 
 
 def _add_output_flags(sub) -> None:
     sub.add_argument("--out", default=None, help="write reports to this path")
-    sub.add_argument(
-        "--format", default="jsonl", choices=("jsonl", "csv"), help="output format"
-    )
+    sub.add_argument("--format", default=None, choices=("jsonl", "csv"), help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,18 +141,18 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("theorem", choices=sorted(THEOREMS))
     check.add_argument("--ring", required=True, help="ring spec")
     check.add_argument("--mode", default=None, help="exhaustive:K or random:SIZES:TRIALS")
-    check.add_argument("--seed", type=int, default=0, help="master seed for random mode")
+    check.add_argument("--seed", default=None, help="master seed for random mode")
     check.add_argument("--f", default=None, help="three-variable quadratic, a=..;R=..;S=..;T=..")
     check.add_argument("--poly1", default=None, help="one-variable quadratic, c2,c1,c0")
-    check.add_argument("--d", type=int, default=1, help="power for energy checks")
+    check.add_argument("--d", default=None, help="power for energy checks")
     check.add_argument("--A", default=None, help="set literal such as 0,1,4 or all")
     check.add_argument("--B", default=None, help="set literal")
     check.add_argument("--C", default=None, help="set literal")
     check.add_argument("--points", default=None, help="point count per trial, or all")
     check.add_argument("--planes", default=None, help="plane count per trial, or all")
-    check.add_argument("--max-weight", type=int, default=4, dest="max_weight")
+    check.add_argument("--max-weight", default=None, dest="max_weight")
     _add_output_flags(check)
-    check.set_defaults(func=_cmd_check)
+    check.set_defaults(func=_cmd_run)
 
     inc = subs.add_parser("incidence", help="incidence bound on families from files")
     inc.add_argument("--ring", required=True)
@@ -201,15 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--ring", required=True)
     geo.add_argument("--A", default=None, help="set literal for the grid, or all")
     geo.add_argument("--mode", default=None, help="exhaustive:K or random:SIZE:TRIALS")
-    geo.add_argument("--seed", type=int, default=0)
+    geo.add_argument("--seed", default=None)
     _add_output_flags(geo)
-    geo.set_defaults(func=_cmd_geometry)
+    geo.set_defaults(func=_cmd_run, theorem="T7_1")
 
     sweep = subs.add_parser("sweep", help="run a sweep from a config file")
     sweep.add_argument("config", help="flat key=value config file")
     sweep.add_argument("--out", default=None, help="override the config output path")
     sweep.add_argument("--format", default=None, choices=("jsonl", "csv"))
-    sweep.set_defaults(func=_cmd_sweep)
+    sweep.set_defaults(func=_cmd_run)
     return parser
 
 

@@ -12,6 +12,10 @@ An experiment is a pure function of its config.  Determinism rules:
   (workers only split contiguous ranges, set via the FVRLAB_WORKERS
   environment variable).
 
+What a sweep needs to know about each theorem id (its set slots, whether
+random sets are units only, and the check calls) is listed once, in
+THEOREMS.
+
 Exhaustive sweeps are capped by a documented budget: the total number of
 check evaluations, (sum of C(n, k) for k = 1..max_size) ** slots, must not
 exceed 10**7.
@@ -22,9 +26,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from .checks import (
 )
 from .geometry import geometry_bound_report, line_count_report
 from .incidence import WeightedFamily, incidence_bound_report, weighted_bound_report
-from .report import THEOREMS, CheckReport
+from .report import CheckReport
 from .ring import Ring, parse_ring_spec
 from .sampling import (
     mix64,
@@ -53,20 +57,6 @@ from .sampling import (
 from .setalg import RSet, parse_quadpoly, parse_set_literal
 
 EXHAUSTIVE_BUDGET = 10**7
-
-# set slots enumerated or sampled per theorem; families are handled apart
-SET_SLOTS = {
-    "T1_3": 3,
-    "T1_5": 1,
-    "T1_6": 1,
-    "T1_7": 1,
-    "T1_8": 1,
-    "T1_9": 1,
-    "T7_1": 1,
-    "PLUN13": 1,
-}
-FAMILY_THEOREMS = ("T2_2", "T2_4")
-
 
 @dataclass(frozen=True)
 class Mode:
@@ -191,123 +181,139 @@ def exhaustive_budget(n: int, max_size: int, slots: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# input construction
+# theorem registry and input construction
 
 
-def _families_for_trial(config: ExperimentConfig, ring: Ring, trial_seed: int):
-    def build(text, salt):
-        if text == "all":
-            n = ring.order
-            codes = np.arange(n**3, dtype=np.int64)
-            return np.stack([codes // n**2, (codes // n) % n, codes % n], axis=1)
-        return (sample_points if salt == 1 else sample_planes)(
-            ring, int(text), mix64(trial_seed, salt)
-        )
+def _family(ring: Ring, count, sample, seed: int, salt: int) -> np.ndarray:
+    """Every triple of the ring when count is "all", else count sampled ones."""
+    if count == "all":
+        n = ring.order
+        codes = np.arange(n**3, dtype=np.int64)
+        return np.stack([codes // n**2, (codes // n) % n, codes % n], axis=1)
+    return sample(ring, int(count), mix64(seed, salt))
 
-    if config.points is None or config.planes is None:
+
+def _family_pair(config: ExperimentConfig, ring: Ring, index: int):
+    """Points, planes and report seed of one family input."""
+    counts = (config.points, config.planes)
+    if config.mode is None:
+        seed = None if counts == ("all", "all") else config.seed
+    else:
+        seed = mix64(config.seed, index)
+        if counts == (None, None):
+            counts = config.mode.sizes  # a family sweep's sizes are its counts
+    if None in counts:
         raise ValueError(f"{config.theorem} needs --points and --planes")
-    return build(config.points, 1), build(config.planes, 2)
+    points = _family(ring, counts[0], sample_points, seed, 1)
+    planes = _family(ring, counts[1], sample_planes, seed, 2)
+    return (points, planes), seed
 
 
-def _weighted_families_for_trial(config: ExperimentConfig, ring: Ring, trial_seed: int):
-    pts, pls = _families_for_trial(config, ring, trial_seed)
-    if config.points == "all" and config.planes == "all":
-        return WeightedFamily.uniform(ring, pts), WeightedFamily.uniform(ring, pls)
-    if len(pts) != len(pls):
-        raise ValueError("weighted sweeps need equally many points and planes")
-    # one weight multiset, dealt to both sides, keeps the totals equal
-    wp = sample_weights(len(pts), config.max_weight, mix64(trial_seed, 3))
-    wq = shuffled(wp, mix64(trial_seed, 4))
-    return (
-        WeightedFamily(ring, pts, np.array(wp, dtype=np.int64)),
-        WeightedFamily(ring, pls, np.array(wq, dtype=np.int64)),
-    )
+def _expander(config: ExperimentConfig, ring: Ring, sets, seed):
+    if config.f is None:
+        raise ValueError("T1_3 needs a polynomial (f)")
+    spec = _quadspec_of(config.ring_spec, config.f)
+    return [check_expander(spec, *sets, seed=seed)]
 
 
-def _check_on_sets(config: ExperimentConfig, ring: Ring, sets, seed):
-    theorem = config.theorem
-    if theorem == "T1_3":
-        if config.f is None:
-            raise ValueError("T1_3 needs a polynomial (f)")
-        spec = _quadspec_of(config.ring_spec, config.f)
-        return [check_expander(spec, sets[0], sets[1], sets[2], seed=seed)]
-    A = sets[0]
-    if theorem == "T1_5":
-        return [check_sum_square(A, seed=seed)]
-    if theorem == "T1_6":
-        return [check_cube_sum(A, seed=seed)]
-    if theorem == "T1_7":
-        if config.poly1 is None:
-            raise ValueError("T1_7 needs a quadratic (poly1)")
-        return [check_f_of_A_plus_A(_poly1_of(ring, config.poly1), A, seed=seed)]
-    if theorem == "T1_8":
-        return [check_prod_diff(A, seed=seed)]
-    if theorem == "T1_9":
-        return [check_power_energy(A, config.d, seed=seed)]
-    if theorem == "T7_1":
-        return [geometry_bound_report(A, seed=seed), line_count_report(A, seed=seed)]
-    if theorem == "PLUN13":
-        return [check_plunnecke_corollary(A, seed=seed)]
-    raise ValueError(f"no set-slot dispatch for {theorem}")
+def _shifted_image(config: ExperimentConfig, ring: Ring, sets, seed):
+    if config.poly1 is None:
+        raise ValueError("T1_7 needs a quadratic (poly1)")
+    return [check_f_of_A_plus_A(_poly1_of(ring, config.poly1), sets[0], seed=seed)]
+
+
+def _weighted_incidences(config: ExperimentConfig, ring: Ring, families, seed):
+    pts, pls = families
+    if (config.points, config.planes) == ("all", "all"):
+        pfam, qfam = WeightedFamily.uniform(ring, pts), WeightedFamily.uniform(ring, pls)
+    else:
+        if len(pts) != len(pls):
+            raise ValueError("weighted sweeps need equally many points and planes")
+        # one weight multiset, dealt to both sides, keeps the totals equal
+        wp = sample_weights(len(pts), config.max_weight, mix64(seed, 3))
+        wq = shuffled(wp, mix64(seed, 4))
+        pfam = WeightedFamily(ring, pts, np.array(wp, dtype=np.int64))
+        qfam = WeightedFamily(ring, pls, np.array(wq, dtype=np.int64))
+    return [weighted_bound_report(pfam, qfam, seed=seed)]
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """What a sweep needs to know about one theorem id."""
+
+    slots: int  # set slots per input; 0 for one point family and one plane family
+    run: Callable  # (config, ring, sets or (points, planes), seed) -> reports
+    units_only: bool = False  # random sets are drawn from the units
+
+
+# The entries look the checks up by name at call time, so a wrapper put on
+# a module attribute (a tracer, a test double) sees every call.
+THEOREMS = {
+    "T1_3": Theorem(3, _expander),
+    "T1_5": Theorem(1, lambda config, ring, sets, seed: [check_sum_square(sets[0], seed=seed)]),
+    "T1_6": Theorem(1, lambda config, ring, sets, seed: [check_cube_sum(sets[0], seed=seed)]),
+    "T1_7": Theorem(1, _shifted_image),
+    "T1_8": Theorem(1, lambda config, ring, sets, seed: [check_prod_diff(sets[0], seed=seed)]),
+    # T1_9 hypothesizes a set of units
+    "T1_9": Theorem(
+        1,
+        lambda config, ring, sets, seed: [check_power_energy(sets[0], config.d, seed=seed)],
+        units_only=True,
+    ),
+    "T2_2": Theorem(
+        0, lambda config, ring, fams, seed: [incidence_bound_report(ring, *fams, seed=seed)]
+    ),
+    "T2_4": Theorem(0, _weighted_incidences),
+    "T7_1": Theorem(
+        1,
+        lambda config, ring, sets, seed: [
+            geometry_bound_report(sets[0], seed=seed),
+            line_count_report(sets[0], seed=seed),
+        ],
+    ),
+    "PLUN13": Theorem(
+        1, lambda config, ring, sets, seed: [check_plunnecke_corollary(sets[0], seed=seed)]
+    ),
+}
 
 
 def _run_input(config: ExperimentConfig, ring: Ring, index: int) -> list[CheckReport]:
-    theorem = config.theorem
-    if theorem in FAMILY_THEOREMS:
-        if config.mode is None:
-            trial_seed = None if config.points == "all" and config.planes == "all" else config.seed
-        else:
-            trial_seed = mix64(config.seed, index)
-        eff = config.seed if trial_seed is None else trial_seed
-        if theorem == "T2_2":
-            pts, pls = _families_for_trial(config, ring, eff)
-            return [incidence_bound_report(ring, pts, pls, seed=trial_seed)]
-        pfam, qfam = _weighted_families_for_trial(config, ring, eff)
-        return [weighted_bound_report(pfam, qfam, seed=trial_seed)]
-
-    slots = SET_SLOTS[theorem]
+    theorem = THEOREMS[config.theorem]
+    if theorem.slots == 0:
+        return theorem.run(config, ring, *_family_pair(config, ring, index))
+    seed = None
     if config.mode is None:
-        names = ("A", "B", "C")[:slots]
         sets = []
-        for name in names:
+        for name in ("A", "B", "C")[: theorem.slots]:
             lit = config.literals.get(name)
             if lit is None:
-                raise ValueError(f"{theorem} needs an explicit set {name} (or a mode)")
+                raise ValueError(f"{config.theorem} needs an explicit set {name} (or a mode)")
             sets.append(parse_set_literal(ring, lit))
-        return _check_on_sets(config, ring, sets, None)
-    if config.mode.kind == "exhaustive":
+    elif config.mode.kind == "exhaustive":
         span = subsets_up_to(ring.order, config.mode.max_size)
         ranks = []
         rest = index
-        for _ in range(slots):
+        for _ in range(theorem.slots):
             rest, rank = divmod(rest, span)
             ranks.append(rank)
         ranks.reverse()  # first slot varies slowest
         sets = [subset_by_rank(ring, config.mode.max_size, rk) for rk in ranks]
-        return _check_on_sets(config, ring, sets, None)
-    trial_seed = mix64(config.seed, index)
-    if len(config.mode.sizes) != slots:
-        raise ValueError(f"{theorem} needs {slots} size(s) in random mode")
-    # T1_9 hypothesizes a set of units, so its slot samples from the units
-    draw = sample_unit_subset if theorem == "T1_9" else sample_subset
-    sets = [
-        draw(ring, size, mix64(trial_seed, slot))
-        for slot, size in enumerate(config.mode.sizes)
-    ]
-    return _check_on_sets(config, ring, sets, trial_seed)
+    else:
+        seed = mix64(config.seed, index)
+        draw = sample_unit_subset if theorem.units_only else sample_subset
+        sets = [
+            draw(ring, size, mix64(seed, slot)) for slot, size in enumerate(config.mode.sizes)
+        ]
+    return theorem.run(config, ring, sets, seed)
 
 
 def input_count(config: ExperimentConfig, ring: Ring) -> int:
     if config.mode is None:
         return 1
-    if config.theorem in FAMILY_THEOREMS:
-        if config.mode.kind == "exhaustive":
-            raise ValueError(f"{config.theorem} sweeps are random-mode only")
-        if len(config.mode.sizes) != 2:
-            raise ValueError(f"{config.theorem} needs two sizes (points, planes)")
-        return config.mode.trials
-    slots = SET_SLOTS[config.theorem]
+    slots = THEOREMS[config.theorem].slots
     if config.mode.kind == "exhaustive":
+        if slots == 0:
+            raise ValueError(f"{config.theorem} sweeps are random-mode only")
         budget = exhaustive_budget(ring.order, config.mode.max_size, slots)
         if budget > EXHAUSTIVE_BUDGET:
             raise ValueError(
@@ -315,6 +321,10 @@ def input_count(config: ExperimentConfig, ring: Ring) -> int:
                 f" (budget {EXHAUSTIVE_BUDGET})"
             )
         return budget
+    if slots == 0 and len(config.mode.sizes) != 2:
+        raise ValueError(f"{config.theorem} needs two sizes (points, planes)")
+    if slots and len(config.mode.sizes) != slots:
+        raise ValueError(f"{config.theorem} needs {slots} size(s) in random mode")
     return config.mode.trials
 
 
@@ -343,18 +353,6 @@ def _worker_count() -> int:
 def run_experiment(config: ExperimentConfig) -> tuple[list[CheckReport], dict]:
     """Run the sweep and return (reports, summary); see the module notes."""
     ring = _ring_of(config.ring_spec)
-    # family sweeps carry their sizes as per-trial point/plane counts
-    if (
-        config.theorem in FAMILY_THEOREMS
-        and config.mode is not None
-        and config.mode.kind == "random"
-        and config.points is None
-        and config.planes is None
-    ):
-        sizes = config.mode.sizes
-        config = replace(
-            config, points=str(sizes[0]), planes=str(sizes[1] if len(sizes) > 1 else sizes[0])
-        )
     total = input_count(config, ring)
     workers = _worker_count()
     if workers > 1 and total > 1:
@@ -406,26 +404,35 @@ def summarize(config: ExperimentConfig, reports: list[CheckReport], inputs: int)
 # config files
 
 
-_CONFIG_KEYS = {
-    "theorem",
-    "ring",
-    "mode",
-    "seed",
-    "f",
-    "poly1",
-    "d",
-    "A",
-    "B",
-    "C",
-    "points",
-    "planes",
-    "max_weight",
-    "out",
-    "format",
+# config key -> (ExperimentConfig field, value parser); A, B and C go to literals
+_FIELDS = {
+    "theorem": ("theorem", str),
+    "ring": ("ring_spec", str),
+    "mode": ("mode", parse_mode),
+    "seed": ("seed", int),
+    "f": ("f", str),
+    "poly1": ("poly1", str),
+    "d": ("d", int),
+    "points": ("points", str),
+    "planes": ("planes", str),
+    "max_weight": ("max_weight", int),
+    "out": ("out", str),
+    "format": ("fmt", str),
 }
+CONFIG_KEYS = (*_FIELDS, "A", "B", "C")
 
 
-def parse_config_lines(lines) -> ExperimentConfig:
+def config_from_fields(raw: dict[str, str]) -> ExperimentConfig:
+    """Build a config from flat key -> text fields; absent keys take the defaults."""
+    for needed in ("theorem", "ring"):
+        if needed not in raw:
+            raise ValueError(f"config needs a {needed!r} line")
+    kwargs = {name: parse(raw[key]) for key, (name, parse) in _FIELDS.items() if key in raw}
+    literals = {name: raw[name] for name in ("A", "B", "C") if name in raw}
+    return ExperimentConfig(literals=literals, **kwargs)
+
+
+def parse_config_fields(lines) -> dict[str, str]:
     """Flat key=value format; one pair per line, # comments allowed."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
@@ -436,30 +443,17 @@ def parse_config_lines(lines) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if not eq or not value:
             raise ValueError(f"line {lineno}: expected key = value")
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
-    for needed in ("theorem", "ring"):
-        if needed not in raw:
-            raise ValueError(f"config needs a {needed!r} line")
-    literals = {name: raw[name] for name in ("A", "B", "C") if name in raw}
-    return ExperimentConfig(
-        theorem=raw["theorem"],
-        ring_spec=raw["ring"],
-        mode=parse_mode(raw["mode"]) if "mode" in raw else None,
-        seed=int(raw.get("seed", "0")),
-        f=raw.get("f"),
-        poly1=raw.get("poly1"),
-        d=int(raw.get("d", "1")),
-        literals=literals,
-        points=raw.get("points"),
-        planes=raw.get("planes"),
-        max_weight=int(raw.get("max_weight", "4")),
-        out=raw.get("out"),
-        fmt=raw.get("format", "jsonl"),
-    )
+    return raw
+
+
+def parse_config_lines(lines) -> ExperimentConfig:
+    """Config from flat key=value lines; see parse_config_fields."""
+    return config_from_fields(parse_config_fields(lines))
 
 
 def load_config(path: str) -> ExperimentConfig:

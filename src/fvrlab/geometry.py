@@ -69,13 +69,6 @@ def is_collinear(ring: Ring, p1: Point2, p2: Point2, p3: Point2) -> bool:
     return cx.intersects(cy)
 
 
-def is_collinear_weak(ring: Ring, p1: Point2, p2: Point2, p3: Point2) -> bool:
-    """The cross-product condition; necessary for collinearity, not sufficient."""
-    ex, ey = ring.sub(p1[0], p2[0]), ring.sub(p1[1], p2[1])
-    dx, dy = ring.sub(p3[0], p2[0]), ring.sub(p3[1], p2[1])
-    return ring.mul(ex, dy) == ring.mul(ey, dx)
-
-
 def _grid(A: RSet):
     ring = A.ring
     m = len(A)

@@ -18,7 +18,6 @@ positive integer weight (default 1).  Blank lines and lines starting with
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +31,7 @@ from .report import (
     RATIO_RECORDED,
     BoundRow,
     CheckReport,
+    sha256_prefix,
 )
 from .ring import Ring
 
@@ -131,8 +131,8 @@ def family_literal(fam: WeightedFamily) -> str:
             f"{a},{b},{c}" + (f"@{w}" if w != 1 else "")
             for (a, b, c), w in zip(fam.items, fam.weights)
         )
-    h = hashlib.sha256(fam.items.tobytes() + fam.weights.tobytes()).hexdigest()[:16]
-    return f"count={len(fam)};sha256={h}"
+    digest = sha256_prefix(fam.items.tobytes() + fam.weights.tobytes())
+    return f"count={len(fam)};sha256={digest}"
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ The JSONL wire format per line (integers as decimal strings):
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -108,28 +109,31 @@ class CheckReport:
             BoundRow(h["name"], bool(h["ok"]), int(h["lhs"]), int(h["rhs"]))
             for h in obj["hypotheses"]
         ]
-        ratio = obj["ratio"]
+        lhs, rhs = int(obj["lhs"]), int(obj["rhs"])
         return cls(
             theorem=obj["theorem"],
             ring=obj["ring"],
             hypotheses=rows,
-            lhs=int(obj["lhs"]),
-            rhs=int(obj["rhs"]),
-            ratio=None if ratio is None else Fraction(ratio).limit_denominator(10**15),
+            lhs=lhs,
+            rhs=rhs,
+            # every ratio is built as Fraction(lhs, rhs); the float is for reading
+            ratio=None if obj["ratio"] is None else Fraction(lhs, rhs),
             verdict=obj["verdict"],
             seed=obj["seed"],
             sets=dict(obj["sets"]),
         )
 
 
+def sha256_prefix(data: bytes) -> str:
+    """First 16 hex digits of the sha256 of data, as report literals carry it."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def set_literal_or_digest(rset) -> str:
     """Member literal, or size plus a content hash for very large sets."""
     if len(rset) <= LITERAL_CAP:
         return rset.literal
-    import hashlib
-
-    h = hashlib.sha256(rset.mask.tobytes()).hexdigest()[:16]
-    return f"size={len(rset)};sha256={h}"
+    return f"size={len(rset)};sha256={sha256_prefix(rset.mask.tobytes())}"
 
 
 def write_jsonl(reports, path: str) -> None:

@@ -123,6 +123,16 @@ def brute_is_collinear(ring, p1, p2, p3):
     )
 
 
+def is_collinear_weak(ring, p1, p2, p3):
+    """The cross-product condition; necessary for collinearity, not sufficient.
+
+    The reference for ``count_collinear_triples_weak``.
+    """
+    ex, ey = ring.sub(p1[0], p2[0]), ring.sub(p1[1], p2[1])
+    dx, dy = ring.sub(p3[0], p2[0]), ring.sub(p3[1], p2[1])
+    return ring.mul(ex, dy) == ring.mul(ey, dx)
+
+
 def brute_collinear_triples(ring, grid_points):
     pts = list(grid_points)
     return sum(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fvrlab import cli
 from fvrlab.cli import _emit, main
 from fvrlab.report import BoundRow, CheckReport
 from fvrlab.ring import parse_ring_spec
@@ -86,12 +87,40 @@ def test_check_csv_output(tmp_path, capsys):
     assert out.count("\n") == 1 and out.startswith('{"summary"')
 
 
-def test_check_csv_needs_out(capsys):
-    code, _, err = run_cli(
+def test_check_csv_needs_out(tmp_path, monkeypatch, capsys):
+    # refused before any report is built
+    def no_sweep(config):
+        raise AssertionError("the sweep ran before csv without --out was refused")
+
+    monkeypatch.setattr(cli, "run_experiment", no_sweep)
+    code, out, err = run_cli(
         capsys, "check", "T1_6", "--ring", "zpr:p=3,r=2",
         "--mode", "random:5:4", "--format", "csv",
     )
-    assert code == 2 and "csv format needs --out" in err
+    assert code == 2 and out == "" and "csv format needs --out" in err
+
+    cfg = tmp_path / "t16.cfg"
+    cfg.write_text("theorem = T1_6\nring = zpr:p=3,r=2\nmode = random:5:4\nformat = csv\n")
+    code, out, err = run_cli(capsys, "sweep", str(cfg))
+    assert code == 2 and out == "" and "csv format needs --out" in err
+
+    # the family files are not read either
+    code, out, err = run_cli(
+        capsys, "incidence", "--ring", "zpr:p=3,r=2", "--format", "csv",
+        "--points-file", str(tmp_path / "none.txt"), "--planes-file", str(tmp_path / "none.txt"),
+    )
+    assert code == 2 and out == "" and "csv format needs --out" in err
+
+
+def test_flags_parse_like_config_values(capsys):
+    base = ["check", "T1_9", "--ring", "zpr:p=3,r=2", "--mode", "random:4:2"]
+    code, out, err = run_cli(capsys, *base, "--d", "0")
+    assert code == 2 and out == "" and "d must be a positive integer" in err
+    code, out, err = run_cli(capsys, *base, "--seed", "x")
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, _ = run_cli(capsys, *base)
+    summary = json.loads(out.strip().split("\n")[-1])["summary"]
+    assert summary["seed"] == 0 and summary["inputs"] == 2
 
 
 def test_check_family_exhaustive_rejected(capsys):

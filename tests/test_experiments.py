@@ -75,6 +75,9 @@ def test_input_count_shapes():
     fam_one_size = ExperimentConfig(theorem="T2_2", ring_spec=Z9, mode=parse_mode("random:4:5"))
     with pytest.raises(ValueError, match="two sizes"):
         input_count(fam_one_size, ring)
+    three_slots = ExperimentConfig(theorem="T1_3", ring_spec=Z9, mode=parse_mode("random:4:5"))
+    with pytest.raises(ValueError, match="3 size"):
+        input_count(three_slots, ring)
 
 
 def test_exhaustive_sweep_covers_every_subset_once():

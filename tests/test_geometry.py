@@ -11,7 +11,6 @@ from fvrlab.geometry import (
     geometry_bound_report,
     grid_lines,
     is_collinear,
-    is_collinear_weak,
     line_count_report,
     line_through,
 )
@@ -19,7 +18,7 @@ from fvrlab.ring import make_ring
 from fvrlab.sampling import mix64, sample_subset
 from fvrlab.setalg import RSet, dilate, translate
 
-from oracles import brute_collinear_triples, brute_is_collinear, brute_lines
+from oracles import brute_collinear_triples, brute_is_collinear, brute_lines, is_collinear_weak
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,8 @@ from fvrlab.incidence import (
     parse_family_lines,
     weighted_bound_report,
 )
-from fvrlab.report import CheckReport
+from fvrlab.experiments import ExperimentConfig, parse_mode, run_experiment
+from fvrlab.report import CheckReport, read_jsonl, write_jsonl
 from fvrlab.ring import make_ring
 from fvrlab.sampling import mix64, sample_planes, sample_points, sample_weights, shuffled
 
@@ -144,7 +145,7 @@ def test_weight_gate_mismatch(z9):
     assert not rep.gates_ok
 
 
-def test_report_json_roundtrip(z3):
+def test_report_json_roundtrip(z3, tmp_path):
     pts = all_triples(z3)
     rep = incidence_bound_report(z3, pts[:12], pts[:9], seed=99)
     wire = json.loads(rep.to_json_line())
@@ -154,8 +155,19 @@ def test_report_json_roundtrip(z3):
     assert back.lhs == rep.lhs and back.rhs == rep.rhs
     assert back.verdict == rep.verdict
     assert back.hypotheses == rep.hypotheses
-    # the wire format carries the ratio as a float
-    assert float(back.ratio) == float(rep.ratio)
+    assert back.ratio == rep.ratio
+
+    # the wire ratio is a float; reading rebuilds the exact lhs/rhs
+    config = ExperimentConfig(
+        theorem="T1_6", ring_spec="zpr:p=3,r=2", mode=parse_mode("random:5:50"), seed=7
+    )
+    reports, _ = run_experiment(config)
+    path = tmp_path / "t16.jsonl"
+    write_jsonl(reports, str(path))
+    again = read_jsonl(str(path))
+    assert sum(r.ratio is not None for r in reports) == 50
+    assert [r.ratio for r in again] == [r.ratio for r in reports]
+    assert [r.to_json_line() for r in again] == [r.to_json_line() for r in reports]
 
 
 def test_family_parse_and_format(z9, tmp_path):
