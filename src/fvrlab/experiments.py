@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ValueError("d must be a positive integer")
         if self.max_weight < 1:
             raise ValueError("max_weight must be a positive integer")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
 
 
 @lru_cache(maxsize=64)
@@ -195,13 +197,12 @@ def _family(ring: Ring, count, sample, seed: int, salt: int) -> np.ndarray:
 
 def _family_pair(config: ExperimentConfig, ring: Ring, index: int):
     """Points, planes and report seed of one family input."""
-    counts = (config.points, config.planes)
     if config.mode is None:
+        counts = (config.points, config.planes)
         seed = None if counts == ("all", "all") else config.seed
     else:
+        counts = config.mode.sizes  # input_count refuses points/planes here
         seed = mix64(config.seed, index)
-        if counts == (None, None):
-            counts = config.mode.sizes  # a family sweep's sizes are its counts
     if None in counts:
         raise ValueError(f"{config.theorem} needs --points and --planes")
     points = _family(ring, counts[0], sample_points, seed, 1)
@@ -321,6 +322,8 @@ def input_count(config: ExperimentConfig, ring: Ring) -> int:
                 f" (budget {EXHAUSTIVE_BUDGET})"
             )
         return budget
+    if (config.points, config.planes) != (None, None):
+        raise ValueError("random mode takes its counts from its sizes, not points/planes")
     if slots == 0 and len(config.mode.sizes) != 2:
         raise ValueError(f"{config.theorem} needs two sizes (points, planes)")
     if slots and len(config.mode.sizes) != slots:

@@ -25,6 +25,13 @@ which makes valuations and ideal cosets uniform in q:
 Unramified extensions of Z_p with s > 1 and r > 1 are a third family of
 finite valuation rings that this module does not construct; ``fqxr``
 already realizes every (q, r) shape, which is all the experiments need.
+
+Each ring family has one arithmetic path.  ``zpr`` adds, negates and
+multiplies indices modulo p**r.  ``fqxr`` works on base-p digit arrays:
+up to order TABLE_MAX_ORDER those digit kernels fill int64 Cayley tables
+once per ring shape and every add/neg/mul is one gather from them; above
+it the digit kernels run on every call.  Scalar ops on ``fqxr`` are the
+array ops on 0-d input.
 """
 
 from __future__ import annotations
@@ -36,7 +43,12 @@ import numpy as np
 
 DEFAULT_MAX_ORDER = 10**6
 
-_M64 = (1 << 64) - 1
+# fqxr rings up to this order gather add/neg/mul from int64 Cayley tables
+# (two 729 x 729 tables take 8.5 MB); larger ones run the digit kernels
+TABLE_MAX_ORDER = 729
+
+# Cayley tables by Ring.key, read-only; see Ring._fqxr_op
+_TABLES: dict[tuple, dict[str, np.ndarray]] = {}
 
 
 def _is_prime(n: int) -> bool:
@@ -54,7 +66,7 @@ def _is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # F_p[y] helpers for the fqxr residue field (dense low-first coefficient
-# tuples, only used at construction time and in scalar multiplication).
+# tuples, only used at construction time).
 
 
 def _poly_divmod(num: tuple[int, ...], den: tuple[int, ...], p: int):
@@ -144,9 +156,13 @@ class Coset:
 class Ring:
     """One finite valuation ring; elements are canonical indices (ints).
 
-    Scalar operations take and return plain ints.  The ``*_arr`` variants
-    operate elementwise on numpy integer arrays (broadcasting) and are what
-    the set algebra and counting layers use.
+    The ``*_arr`` operations work elementwise on numpy integer arrays
+    (broadcasting) and return int64; the set algebra and counting layers
+    use them.  Scalar operations take and return plain ints; on ``fqxr``
+    they are the ``*_arr`` operations on 0-d input.  An ``fqxr`` ring of
+    order <= TABLE_MAX_ORDER gathers add/neg/mul from Cayley tables that
+    equal rings share; a larger one runs the digit kernels on every call,
+    so its scalar ops pay numpy's per-call overhead for each digit.
     """
 
     def __init__(self, kind: str, p: int, s: int, r: int, max_order: int):
@@ -278,93 +294,25 @@ class Ring:
     def add(self, a: int, b: int) -> int:
         if self.kind == "zpr":
             return (a + b) % self.order
-        out = 0
-        shift = 1
-        for _ in range(self.r * self.s):
-            out += ((a + b) % self.p) * shift
-            a //= self.p
-            b //= self.p
-            shift *= self.p
-        return out
+        return int(self.add_arr(a, b))
 
     def neg(self, a: int) -> int:
         if self.kind == "zpr":
             return (-a) % self.order
-        out = 0
-        shift = 1
-        for _ in range(self.r * self.s):
-            out += (-a % self.p) * shift
-            a //= self.p
-            shift *= self.p
-        return out
+        return int(self.neg_arr(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _fq_mul(self, ca: int, cb: int) -> int:
-        # multiply two residue-field coefficients given as s-digit indices
-        p, s = self.p, self.s
-        if s == 1:
-            return (ca * cb) % p
-        da = [0] * s
-        db = [0] * s
-        for j in range(s):
-            ca, da[j] = divmod(ca, p)
-            cb, db[j] = divmod(cb, p)
-        conv = [0] * (2 * s - 1)
-        for u in range(s):
-            au = da[u]
-            if au:
-                for v in range(s):
-                    conv[u + v] += au * db[v]
-        out = 0
-        for j in range(s):
-            acc = 0
-            for t in range(2 * s - 1):
-                acc += conv[t] * int(self._red[t, j])
-            out += (acc % p) * self._ppow[j]
-        return out
-
     def mul(self, a: int, b: int) -> int:
         if self.kind == "zpr":
             return (a * b) % self.order
-        q, r = self.q, self.r
-        ac = [0] * r
-        bc = [0] * r
-        for i in range(r):
-            a, ac[i] = divmod(a, q)
-            b, bc[i] = divmod(b, q)
-        out = 0
-        for k in range(r):  # x**r truncates higher terms
-            acc = 0
-            for i in range(k + 1):
-                if ac[i] and bc[k - i]:
-                    acc = self._fq_add_scalar(acc, self._fq_mul(ac[i], bc[k - i]))
-            out += acc * q**k
-        return out
-
-    def _fq_add_scalar(self, ca: int, cb: int) -> int:
-        p = self.p
-        out = 0
-        shift = 1
-        for _ in range(self.s):
-            out += ((ca + cb) % p) * shift
-            ca //= p
-            cb //= p
-            shift *= p
-        return out
+        return int(self.mul_arr(a, b))
 
     def pow(self, a: int, d: int) -> int:
         if d < 0:
             raise ValueError("negative exponent; use inv")
-        result = 1
-        base = a
-        while d:
-            if d & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            d >>= 1
-        return result
+        return int(self.pow_arr(a, d))
 
     def valuation(self, a: int) -> int:
         if a == 0:
@@ -449,14 +397,13 @@ class Ring:
         b = np.asarray(b, dtype=np.int64)
         if self.kind == "zpr":
             return (a + b) % self.order
-        da, db = np.broadcast_arrays(self._digits_arr(a), self._digits_arr(b))
-        return self._encode_arr((da + db) % self.p)
+        return self._fqxr_op(self._add_digits, a, b)
 
     def neg_arr(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         if self.kind == "zpr":
             return (-a) % self.order
-        return self._encode_arr((-self._digits_arr(a)) % self.p)
+        return self._fqxr_op(self._neg_digits, a)
 
     def sub_arr(self, a, b) -> np.ndarray:
         return self.add_arr(a, self.neg_arr(np.asarray(b, dtype=np.int64)))
@@ -466,6 +413,16 @@ class Ring:
         b = np.asarray(b, dtype=np.int64)
         if self.kind == "zpr":
             return (a * b) % self.order
+        return self._fqxr_op(self._mul_digits, a, b)
+
+    def _add_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        da, db = np.broadcast_arrays(self._digits_arr(a), self._digits_arr(b))
+        return self._encode_arr((da + db) % self.p)
+
+    def _neg_digits(self, a: np.ndarray) -> np.ndarray:
+        return self._encode_arr((-self._digits_arr(a)) % self.p)
+
+    def _mul_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         r, s, p = self.r, self.s, self.p
         da = self._digits_arr(a).reshape(a.shape + (r, s))
         db = self._digits_arr(b).reshape(b.shape + (r, s))
@@ -484,6 +441,29 @@ class Ring:
                 red = (conv.reshape(-1, 2 * s - 1) @ self._red) % p
                 out[..., k, :] = red.reshape(shape + (s,))
         return self._encode_arr(out.reshape(shape + (r * s,)))
+
+    def _fqxr_op(self, kernel, *args: np.ndarray) -> np.ndarray:
+        """kernel(*args), as one gather from its table up to TABLE_MAX_ORDER.
+
+        The table holds the kernel's value at every index (pair).  It is
+        built on first use and shared by every ring with the same key.
+        """
+        if self.order > TABLE_MAX_ORDER:
+            return kernel(*args)
+        tables = _TABLES.setdefault(self.key, {})
+        name = kernel.__name__
+        if name not in tables:
+            x = np.arange(self.order, dtype=np.int64)
+            if len(args) == 1:
+                tab = kernel(x)
+            else:
+                # row blocks bound the kernel's digit temporaries
+                step = max(1, (1 << 15) // self.order)
+                blocks = [kernel(x[lo : lo + step, None], x) for lo in range(0, self.order, step)]
+                tab = np.concatenate(blocks)
+            tab.flags.writeable = False
+            tables[name] = tab
+        return tables[name][args]
 
     def val_arr(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+import fvrlab
 from fvrlab.ring import make_ring
 
 
@@ -31,3 +34,20 @@ def f9():
 @pytest.fixture(scope="session")
 def all_rings(z9, z27, z25, f3x2, f9):
     return [z9, z27, z25, f3x2, f9]
+
+
+def child_env(env_extra=None):
+    """The caller's environment, pinned to the fvrlab this test imported.
+
+    The directory holding the imported package goes first on PYTHONPATH, so
+    a relative entry (``PYTHONPATH=src``) or another installed copy cannot
+    change which fvrlab the child runs from its temporary cwd.  An inherited
+    FVRLAB_WORKERS is dropped, so only runs that ask for workers get them.
+    """
+    env = dict(os.environ)
+    env.pop("FVRLAB_WORKERS", None)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(fvrlab.__file__)))
+    inherited = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join([root, *inherited])
+    env.update(env_extra or {})
+    return env

@@ -45,6 +45,7 @@ from fvrlab.ring import Coset, parse_ring_spec
 from fvrlab.sampling import SplitMix64, mix64, sample_planes, sample_points, sample_subset
 from fvrlab.setalg import RSet, energy, parse_quadpoly, poly1_table
 
+from conftest import child_env
 from oracles import (
     brute_collinear_triples,
     brute_energy,
@@ -531,27 +532,10 @@ def test_criterion_7_counting_oracles():
 # 8. determinism and exit codes
 
 
-def _child_env(env_extra=None):
-    """The caller's environment, pinned to the fvrlab this test imported.
-
-    The directory holding the imported package goes first on PYTHONPATH, so
-    a relative entry (``PYTHONPATH=src``) or another installed copy cannot
-    change which fvrlab the child runs from its temporary cwd.  An inherited
-    FVRLAB_WORKERS is dropped, so only runs that ask for workers get them.
-    """
-    env = dict(os.environ)
-    env.pop("FVRLAB_WORKERS", None)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(fvrlab.__file__)))
-    inherited = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env["PYTHONPATH"] = os.pathsep.join([root, *inherited])
-    env.update(env_extra or {})
-    return env
-
-
 def _run(argv, cwd, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "fvrlab", *argv],
-        cwd=cwd, env=_child_env(env_extra), capture_output=True, text=True,
+        cwd=cwd, env=child_env(env_extra), capture_output=True, text=True,
         timeout=120,
     )
 
@@ -560,7 +544,7 @@ def test_criterion_8_determinism_and_exit_codes(tmp_path):
     # the child runs the same fvrlab as this process, not another copy
     probe = subprocess.run(
         [sys.executable, "-c", "import fvrlab; print(fvrlab.__file__)"],
-        cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True,
         timeout=120,
     )
     assert probe.returncode == 0, probe.stderr

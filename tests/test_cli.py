@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fvrlab import cli
+from fvrlab import cli, experiments
 from fvrlab.cli import _emit, main
 from fvrlab.report import BoundRow, CheckReport
 from fvrlab.ring import parse_ring_spec
@@ -121,6 +121,33 @@ def test_flags_parse_like_config_values(capsys):
     code, out, _ = run_cli(capsys, *base)
     summary = json.loads(out.strip().split("\n")[-1])["summary"]
     assert summary["seed"] == 0 and summary["inputs"] == 2
+
+
+def test_random_family_counts_come_from_the_mode(tmp_path, monkeypatch, capsys):
+    # points/planes beside a random mode were once silently preferred to its sizes
+    def no_input(*args):
+        raise AssertionError("an input ran before points/planes were refused")
+
+    monkeypatch.setattr(experiments, "_run_input", no_input)
+    code, out, err = run_cli(
+        capsys, "check", "T2_2", "--ring", "zpr:p=3,r=2",
+        "--points", "5", "--planes", "4", "--mode", "random:1,1:2",
+    )
+    assert code == 2 and out == "" and "points/planes" in err
+    cfg = tmp_path / "t22.cfg"
+    cfg.write_text("theorem = T2_2\nring = zpr:p=3,r=2\nmode = random:1,1:2\nplanes = 4\n")
+    code, out, err = run_cli(capsys, "sweep", str(cfg))
+    assert code == 2 and out == "" and "points/planes" in err
+
+
+def test_seed_must_fit_64_bits(capsys):
+    base = ["check", "T1_5", "--ring", "zpr:p=3,r=2", "--mode", "random:6:2"]
+    for seed in ("18446744073709551617", "-5"):  # once aliased seeds 1 and 2**64 - 5
+        code, out, err = run_cli(capsys, *base, "--seed", seed)
+        assert code == 2 and out == "" and "outside [0, 2**64)" in err
+    code, out, _ = run_cli(capsys, *base, "--seed", "18446744073709551615")
+    summary = json.loads(out.strip().split("\n")[-1])["summary"]
+    assert code == 0 and summary["seed"] == 2**64 - 1 and summary["inputs"] == 2
 
 
 def test_check_family_exhaustive_rejected(capsys):

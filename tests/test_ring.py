@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvrlab.ring import Coset, make_ring, parse_ring_spec
+from fvrlab.ring import TABLE_MAX_ORDER, Coset, make_ring, parse_ring_spec
 from oracles import brute_solve_linear, slow_mul, slow_valuation
 
 
@@ -104,6 +104,7 @@ def test_add_mul_tables_match_scalar(all_rings):
         a, b = all_pairs(ring)
         add = ring.add_arr(a, b)
         mul = ring.mul_arr(a, b)
+        assert add.dtype == mul.dtype == np.int64  # callers index with u*n + v
         for x in range(ring.order):
             for y in range(ring.order):
                 assert add[x, y] == ring.add(x, y)
@@ -157,6 +158,25 @@ def test_axioms_larger_fqxr(a, b, c):
     assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
     assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
     assert ring.mul(a, b) == slow_mul(ring, a, b)
+
+
+def test_digit_kernels_above_table_cap():
+    # the one ring shape here whose production path is the digit kernels
+    ring = parse_ring_spec("fqxr:p=3,s=2,r=4")  # order 6561
+    assert ring.order > TABLE_MAX_ORDER
+    a, b = np.random.default_rng(6561).integers(0, ring.order, size=(2, 30))
+    prod = ring.mul_arr(a, b)
+    assert (ring.add_arr(a, ring.neg_arr(a)) == 0).all()
+    for x, y, xy in zip(a.tolist(), b.tolist(), prod.tolist()):
+        assert xy == ring.mul(x, y) == slow_mul(ring, x, y)
+        assert ring.add(x, ring.neg(x)) == 0
+        diff = [
+            tuple((dx - dy) % ring.p for dx, dy in zip(gx, gy))
+            for gx, gy in zip(ring.coeffs(x), ring.coeffs(y))
+        ]
+        assert ring.sub(x, y) == ring.encode(diff)
+        if ring.is_unit(x):
+            assert ring.mul(x, ring.inv(x)) == 1
 
 
 # -- valuation, units, ideals ---------------------------------------------------
