@@ -1,34 +1,15 @@
 """Inequality checks on set-algebra outputs.
 
 Each function evaluates one claimed inequality on concrete sets and returns
-a :class:`CheckReport`.  Conventions shared by every check:
-
-* hypothesis rows named ``gate_*`` are preconditions of the claim; when one
-  fails the verdict is ``hypothesis_not_met``, the conclusion is not
-  evaluated, and the ratio is null,
-* rows named ``form_*`` are companion facts recorded for the reader
-  (alternative phrasings, identities the derivation routes through),
-* claims with an explicit constant get a ``pass``/``fail`` verdict from an
-  exact denominator-cleared integer comparison; claims with an unspecified
-  constant always get ``ratio_recorded`` and the exact rational is the
-  scientific output,
-* fractional exponents are removed by raising both sides to the least
-  common power, so every comparison stays in integers.
+the :class:`CheckReport` that :meth:`CheckReport.conclude` builds from its
+rows and its cleared comparison; the row and verdict rules live there.
+Fractional exponents are removed by raising both sides to the least common
+power, so every comparison stays in integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .report import (
-    FAIL,
-    HYPOTHESIS_NOT_MET,
-    PASS,
-    RATIO_RECORDED,
-    BoundRow,
-    CheckReport,
-    set_literal_or_digest,
-)
+from .report import BoundRow, CheckReport, set_literal_or_digest
 from .setalg import (
     QuadPolySpec,
     RSet,
@@ -48,20 +29,6 @@ def _require_nonempty(*sets: RSet) -> None:
     for A in sets:
         if len(A) == 0:
             raise ValueError("checks need nonempty sets")
-
-
-def _not_met(theorem, ring, rows, seed, sets) -> CheckReport:
-    return CheckReport(
-        theorem=theorem,
-        ring=ring.spec_string(),
-        hypotheses=rows,
-        lhs=0,
-        rhs=0,
-        ratio=None,
-        verdict=HYPOTHESIS_NOT_MET,
-        seed=seed,
-        sets=sets,
-    )
 
 
 def iroot3_ceil(n: int) -> int:
@@ -99,23 +66,13 @@ def check_expander(
     if spec.deg_T == 2:
         need = 2 * q ** (r - 1)
         rows.append(BoundRow("gate_c_size", len(C) >= need, len(C), need))
-        if len(C) < need:
-            return _not_met("T1_3", ring, rows, seed, sets)
+        if not rows[-1].ok:
+            return CheckReport.conclude("T1_3", ring, rows, sets, seed)
     img = image_quad3(spec, A, B, C)
     lhs = 8 * q ** (2 * r - 1) * len(img)
     rhs = min(q ** (3 * r - 1), len(A) * len(B) * len(C))
     sets["image_size"] = str(len(img))
-    return CheckReport(
-        theorem="T1_3",
-        ring=ring.spec_string(),
-        hypotheses=rows,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=Fraction(lhs, rhs),
-        verdict=PASS if lhs >= rhs else FAIL,
-        seed=seed,
-        sets=sets,
-    )
+    return CheckReport.conclude("T1_3", ring, rows, sets, seed, lhs, rhs, holds=lhs >= rhs)
 
 
 def check_sum_square(A: RSet, seed: int | None = None) -> CheckReport:
@@ -130,13 +87,14 @@ def check_sum_square(A: RSet, seed: int | None = None) -> CheckReport:
     q, r = ring.q, ring.r
     na = len(A)
     AA = sumset(A, A)
-    rows = [
-        BoundRow("gate_size", na >= 2 * q ** (r - 1), na, 2 * q ** (r - 1)),
-        BoundRow("gate_mass", len(AA) * na**2 >= q ** (3 * r - 1), len(AA) * na**2, q ** (3 * r - 1)),
-    ]
+    size = BoundRow("gate_size", na >= 2 * q ** (r - 1), na, 2 * q ** (r - 1))
+    mass = BoundRow(
+        "gate_mass", len(AA) * na**2 >= q ** (3 * r - 1), len(AA) * na**2, q ** (3 * r - 1)
+    )
+    rows = [size, mass]
     sets = {"A": set_literal_or_digest(A), "sumset_size": str(len(AA))}
-    if not all(h.ok for h in rows):
-        return _not_met("T1_5", ring, rows, seed, sets)
+    if not (size.ok and mass.ok):
+        return CheckReport.conclude("T1_5", ring, rows, sets, seed)
     sq = power_set(A, 2)
     SS = sumset(sq, sq)
     sets["square_sum_size"] = str(len(SS))
@@ -144,17 +102,7 @@ def check_sum_square(A: RSet, seed: int | None = None) -> CheckReport:
     rhs = na**2 * q**r
     m = max(len(AA), len(SS))
     rows.append(BoundRow("form_max_cubed", 2 * m**3 >= rhs, 2 * m**3, rhs))
-    return CheckReport(
-        theorem="T1_5",
-        ring=ring.spec_string(),
-        hypotheses=rows,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=Fraction(lhs, rhs),
-        verdict=PASS if lhs >= rhs else FAIL,
-        seed=seed,
-        sets=sets,
-    )
+    return CheckReport.conclude("T1_5", ring, rows, sets, seed, lhs, rhs, holds=lhs >= rhs)
 
 
 def check_cube_sum(A: RSet, seed: int | None = None) -> CheckReport:
@@ -173,23 +121,13 @@ def check_cube_sum(A: RSet, seed: int | None = None) -> CheckReport:
     )
     sets = {"A": set_literal_or_digest(A), "sumset_size": str(len(AA))}
     if not gate.ok:
-        return _not_met("T1_6", ring, [gate], seed, sets)
+        return CheckReport.conclude("T1_6", ring, [gate], sets, seed)
     cb = power_set(A, 3)
     CC = sumset(cb, cb)
     sets["cube_sum_size"] = str(len(CC))
     lhs = max(len(AA), len(CC)) ** 10
     rhs = q**r * na**9
-    return CheckReport(
-        theorem="T1_6",
-        ring=ring.spec_string(),
-        hypotheses=[gate],
-        lhs=lhs,
-        rhs=rhs,
-        ratio=Fraction(lhs, rhs),
-        verdict=RATIO_RECORDED,
-        seed=seed,
-        sets=sets,
-    )
+    return CheckReport.conclude("T1_6", ring, [gate], sets, seed, lhs, rhs)
 
 
 def check_f_of_A_plus_A(f, A: RSet, seed: int | None = None) -> CheckReport:
@@ -219,20 +157,10 @@ def check_f_of_A_plus_A(f, A: RSet, seed: int | None = None) -> CheckReport:
         "shifted_size": str(len(S)),
     }
     if not gate.ok:
-        return _not_met("T1_7", ring, [gate], seed, sets)
+        return CheckReport.conclude("T1_7", ring, [gate], sets, seed)
     lhs = 2 * len(S) ** 3
     rhs = na**2 * q**r
-    return CheckReport(
-        theorem="T1_7",
-        ring=ring.spec_string(),
-        hypotheses=[gate],
-        lhs=lhs,
-        rhs=rhs,
-        ratio=Fraction(lhs, rhs),
-        verdict=PASS if lhs >= rhs else FAIL,
-        seed=seed,
-        sets=sets,
-    )
+    return CheckReport.conclude("T1_7", ring, [gate], sets, seed, lhs, rhs, holds=lhs >= rhs)
 
 
 def check_prod_diff(A: RSet, seed: int | None = None) -> CheckReport:
@@ -252,7 +180,7 @@ def check_prod_diff(A: RSet, seed: int | None = None) -> CheckReport:
     rows = [gate, BoundRow("form_size_root", na >= root, na, root)]
     sets = {"A": set_literal_or_digest(A)}
     if not gate.ok:
-        return _not_met("T1_8", ring, rows, seed, sets)
+        return CheckReport.conclude("T1_8", ring, rows, sets, seed)
     D = diffset(A, A)
     P = prodset(A, A)
     PP = sumset(P, P)
@@ -261,17 +189,7 @@ def check_prod_diff(A: RSet, seed: int | None = None) -> CheckReport:
     m = max(len(D), len(PP))
     lhs = 2 * m**3
     rhs = na**2 * q**r
-    return CheckReport(
-        theorem="T1_8",
-        ring=ring.spec_string(),
-        hypotheses=rows,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=Fraction(lhs, rhs),
-        verdict=PASS if lhs >= rhs else FAIL,
-        seed=seed,
-        sets=sets,
-    )
+    return CheckReport.conclude("T1_8", ring, rows, sets, seed, lhs, rhs, holds=lhs >= rhs)
 
 
 def check_power_energy(A: RSet, d: int, seed: int | None = None) -> CheckReport:
@@ -290,8 +208,8 @@ def check_power_energy(A: RSet, d: int, seed: int | None = None) -> CheckReport:
     unit_members = sum(1 for a in A.indices() if ring.is_unit(a))
     rows = [BoundRow("gate_units", unit_members == na, unit_members, na)]
     sets = {"A": set_literal_or_digest(A), "d": str(d)}
-    if unit_members != na:
-        return _not_met("T1_9", ring, rows, seed, sets)
+    if not rows[-1].ok:
+        return CheckReport.conclude("T1_9", ring, rows, sets, seed)
     P = prodset(A, A)
     rows.append(
         BoundRow(
@@ -300,7 +218,7 @@ def check_power_energy(A: RSet, d: int, seed: int | None = None) -> CheckReport:
     )
     sets["prod_size"] = str(len(P))
     if not rows[-1].ok:
-        return _not_met("T1_9", ring, rows, seed, sets)
+        return CheckReport.conclude("T1_9", ring, rows, sets, seed)
     pd = power_set(A, d)
     S = sumset(pd, pd)
     e = energy(A, d)
@@ -312,17 +230,7 @@ def check_power_energy(A: RSet, d: int, seed: int | None = None) -> CheckReport:
     rows.append(BoundRow("form_max_cubed", m**3 >= rhs, m**3, rhs))
     # ordered-quadruple energy never drops below |A|**4 / q**r
     rows.append(BoundRow("form_energy_floor", q**r * e >= na**4, q**r * e, na**4))
-    return CheckReport(
-        theorem="T1_9",
-        ring=ring.spec_string(),
-        hypotheses=rows,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=Fraction(lhs, rhs),
-        verdict=RATIO_RECORDED,
-        seed=seed,
-        sets=sets,
-    )
+    return CheckReport.conclude("T1_9", ring, rows, sets, seed, lhs, rhs)
 
 
 def check_plunnecke_corollary(A: RSet, seed: int | None = None) -> CheckReport:
@@ -351,20 +259,11 @@ def check_plunnecke_corollary(A: RSet, seed: int | None = None) -> CheckReport:
     ]
     lhs = len(lhs_set) * na**2
     rhs = len(AA) ** 3
-    ok = lhs <= rhs and all(h.ok for h in rows)
-    return CheckReport(
-        theorem="PLUN13",
-        ring=ring.spec_string(),
-        hypotheses=rows,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=Fraction(lhs, rhs),
-        verdict=PASS if ok else FAIL,
-        seed=seed,
-        sets={
-            "A": set_literal_or_digest(A),
-            "sumset_size": str(len(AA)),
-            "dilated_diff_size": str(len(lhs_set)),
-            "chain_size": str(len(chain)),
-        },
-    )
+    sets = {
+        "A": set_literal_or_digest(A),
+        "sumset_size": str(len(AA)),
+        "dilated_diff_size": str(len(lhs_set)),
+        "chain_size": str(len(chain)),
+    }
+    holds = lhs <= rhs and all(h.ok for h in rows)
+    return CheckReport.conclude("PLUN13", ring, rows, sets, seed, lhs, rhs, holds=holds)

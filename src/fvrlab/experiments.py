@@ -13,8 +13,9 @@ An experiment is a pure function of its config.  Determinism rules:
   environment variable).
 
 What a sweep needs to know about each theorem id (its set slots, whether
-random sets are units only, and the check calls) is listed once, in
-THEOREMS.
+random sets are units only, the config keys it reads, and the check calls)
+is listed once, in THEOREMS.  config_from_fields, the path of every flag
+and config file, refuses a key that the theorem or mode does not read.
 
 Exhaustive sweeps are capped by a documented budget: the total number of
 check evaluations, (sum of C(n, k) for k = 1..max_size) ** slots, must not
@@ -43,7 +44,7 @@ from .checks import (
 )
 from .geometry import geometry_bound_report, line_count_report
 from .incidence import WeightedFamily, incidence_bound_report, weighted_bound_report
-from .report import CheckReport
+from .report import VERDICTS, CheckReport
 from .ring import Ring, parse_ring_spec
 from .sampling import (
     mix64,
@@ -245,26 +246,30 @@ class Theorem:
     slots: int  # set slots per input; 0 for one point family and one plane family
     run: Callable  # (config, ring, sets or (points, planes), seed) -> reports
     units_only: bool = False  # random sets are drawn from the units
+    reads: tuple[str, ...] = ()  # config keys read beyond _COMMON_KEYS and the set slots
 
 
 # The entries look the checks up by name at call time, so a wrapper put on
 # a module attribute (a tracer, a test double) sees every call.
 THEOREMS = {
-    "T1_3": Theorem(3, _expander),
+    "T1_3": Theorem(3, _expander, reads=("f",)),
     "T1_5": Theorem(1, lambda config, ring, sets, seed: [check_sum_square(sets[0], seed=seed)]),
     "T1_6": Theorem(1, lambda config, ring, sets, seed: [check_cube_sum(sets[0], seed=seed)]),
-    "T1_7": Theorem(1, _shifted_image),
+    "T1_7": Theorem(1, _shifted_image, reads=("poly1",)),
     "T1_8": Theorem(1, lambda config, ring, sets, seed: [check_prod_diff(sets[0], seed=seed)]),
     # T1_9 hypothesizes a set of units
     "T1_9": Theorem(
         1,
         lambda config, ring, sets, seed: [check_power_energy(sets[0], config.d, seed=seed)],
         units_only=True,
+        reads=("d",),
     ),
     "T2_2": Theorem(
-        0, lambda config, ring, fams, seed: [incidence_bound_report(ring, *fams, seed=seed)]
+        0,
+        lambda config, ring, fams, seed: [incidence_bound_report(ring, *fams, seed=seed)],
+        reads=("points", "planes"),
     ),
-    "T2_4": Theorem(0, _weighted_incidences),
+    "T2_4": Theorem(0, _weighted_incidences, reads=("points", "planes", "max_weight")),
     "T7_1": Theorem(
         1,
         lambda config, ring, sets, seed: [
@@ -371,7 +376,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[CheckReport], dict]:
 
 
 def summarize(config: ExperimentConfig, reports: list[CheckReport], inputs: int) -> dict:
-    verdicts = {"pass": 0, "fail": 0, "hypothesis_not_met": 0, "ratio_recorded": 0}
+    verdicts = dict.fromkeys(VERDICTS, 0)
     for rep in reports:
         verdicts[rep.verdict] += 1
     ratios = [(rep.ratio, i) for i, rep in enumerate(reports) if rep.ratio is not None]
@@ -423,16 +428,31 @@ _FIELDS = {
     "format": ("fmt", str),
 }
 CONFIG_KEYS = (*_FIELDS, "A", "B", "C")
+# keys every theorem and mode reads
+_COMMON_KEYS = ("theorem", "ring", "mode", "seed", "out", "format")
 
 
 def config_from_fields(raw: dict[str, str]) -> ExperimentConfig:
-    """Build a config from flat key -> text fields; absent keys take the defaults."""
+    """Build a config from flat key -> text fields; absent keys take the defaults.
+
+    A key given that the theorem or mode does not read is refused, default
+    value or not: set literals beyond the theorem's slots or beside a mode,
+    and options of other theorems.
+    """
     for needed in ("theorem", "ring"):
         if needed not in raw:
             raise ValueError(f"config needs a {needed!r} line")
     kwargs = {name: parse(raw[key]) for key, (name, parse) in _FIELDS.items() if key in raw}
     literals = {name: raw[name] for name in ("A", "B", "C") if name in raw}
-    return ExperimentConfig(literals=literals, **kwargs)
+    config = ExperimentConfig(literals=literals, **kwargs)
+    theorem = THEOREMS[config.theorem]
+    slots = ("A", "B", "C")[: theorem.slots]
+    for key in raw:
+        if key in slots and config.mode is not None:
+            raise ValueError(f"{key} is an explicit set, and a mode draws its own sets")
+        if key not in (*_COMMON_KEYS, *theorem.reads, *slots):
+            raise ValueError(f"{config.theorem} does not read {key!r}")
+    return config
 
 
 def parse_config_fields(lines) -> dict[str, str]:

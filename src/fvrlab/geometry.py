@@ -20,14 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .report import (
-    FAIL,
-    HYPOTHESIS_NOT_MET,
-    PASS,
-    RATIO_RECORDED,
-    BoundRow,
-    CheckReport,
-)
+from .report import BoundRow, CheckReport
 from .ring import Ring
 from .setalg import RSet
 
@@ -198,17 +191,7 @@ def geometry_bound_report(A: RSet, seed: int | None = None) -> CheckReport:
         sets["lines"] = str(lcount)
         sets["sum_nl_sq"] = str(sum_nl_sq)
         sets["line_ratio"] = repr(float(Fraction(line_lhs, line_rhs)))
-    return CheckReport(
-        theorem="T7_1",
-        ring=ring.spec_string(),
-        hypotheses=rows,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=Fraction(lhs, rhs),
-        verdict=PASS if lhs <= rhs else FAIL,
-        seed=seed,
-        sets=sets,
-    )
+    return CheckReport.conclude("T7_1", ring, rows, sets, seed, lhs, rhs, holds=lhs <= rhs)
 
 
 def line_count_report(A: RSet, seed: int | None = None) -> CheckReport:
@@ -224,29 +207,11 @@ def line_count_report(A: RSet, seed: int | None = None) -> CheckReport:
     q, r = ring.q, ring.r
     na = len(A)
     gate = BoundRow("gate_two_points", na >= 2, na, 2)
-    if na < 2:
-        return CheckReport(
-            theorem="T7_1",
-            ring=ring.spec_string(),
-            hypotheses=[gate],
-            lhs=0,
-            rhs=0,
-            ratio=None,
-            verdict=HYPOTHESIS_NOT_MET,
-            seed=seed,
-            sets={"A": A.literal},
-        )
+    sets = {"A": A.literal}
+    if not gate.ok:
+        return CheckReport.conclude("T7_1", ring, [gate], sets, seed)
     lcount = count_lines(A)
     lhs = lcount * q ** (4 * r - 2)
     rhs = min(q ** (6 * r - 2), na**6)
-    return CheckReport(
-        theorem="T7_1",
-        ring=ring.spec_string(),
-        hypotheses=[gate],
-        lhs=lhs,
-        rhs=rhs,
-        ratio=Fraction(lhs, rhs),
-        verdict=RATIO_RECORDED,
-        seed=seed,
-        sets={"A": A.literal, "lines": str(lcount)},
-    )
+    sets["lines"] = str(lcount)
+    return CheckReport.conclude("T7_1", ring, [gate], sets, seed, lhs, rhs)

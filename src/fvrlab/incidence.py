@@ -20,19 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
-from .report import (
-    FAIL,
-    HYPOTHESIS_NOT_MET,
-    PASS,
-    RATIO_RECORDED,
-    BoundRow,
-    CheckReport,
-    sha256_prefix,
-)
+from .report import BoundRow, CheckReport, sha256_prefix
 from .ring import Ring
 
 # weights and totals stay below this so bucket sums fit int64 with headroom
@@ -213,24 +203,14 @@ def incidence_bound_report(ring: Ring, points, planes, seed: int | None = None) 
     one_diff = max(q**r * I - N, 0)
     one_rhs = q ** (6 * r - 2) * N
     rows = [BoundRow("form_one_sided", one_diff**2 <= one_rhs, one_diff**2, one_rhs)]
-    verdict = PASS if lhs <= rhs else FAIL
-    return CheckReport(
-        theorem="T2_2",
-        ring=ring.spec_string(),
-        hypotheses=rows,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=Fraction(lhs, rhs),
-        verdict=verdict,
-        seed=seed,
-        sets={
-            "points": family_literal(WeightedFamily.uniform(ring, P)),
-            "planes": family_literal(WeightedFamily.uniform(ring, L)),
-            "incidences": str(I),
-            "main_term": f"{main_num}/{D}",
-            "slack_bound": repr(q ** (2 * r - 1) * math.sqrt(N)),
-        },
-    )
+    sets = {
+        "points": family_literal(WeightedFamily.uniform(ring, P)),
+        "planes": family_literal(WeightedFamily.uniform(ring, L)),
+        "incidences": str(I),
+        "main_term": f"{main_num}/{D}",
+        "slack_bound": repr(q ** (2 * r - 1) * math.sqrt(N)),
+    }
+    return CheckReport.conclude("T2_2", ring, rows, sets, seed, lhs, rhs, holds=lhs <= rhs)
 
 
 def weighted_bound_report(
@@ -253,30 +233,10 @@ def weighted_bound_report(
         "planes": family_literal(planes),
         "max_weight": str(max(points.max_weight, planes.max_weight)),
     }
-    if wp != wq:
-        return CheckReport(
-            theorem="T2_4",
-            ring=ring.spec_string(),
-            hypotheses=[gate],
-            lhs=0,
-            rhs=0,
-            ratio=None,
-            verdict=HYPOTHESIS_NOT_MET,
-            seed=seed,
-            sets=sets,
-        )
+    if not gate.ok:
+        return CheckReport.conclude("T2_4", ring, [gate], sets, seed)
     iw = count_weighted_incidences(points, planes)
     lhs = q**r * iw
     rhs = wp**2 + q ** (3 * r - 1) * wp
     sets["weighted_incidences"] = str(iw)
-    return CheckReport(
-        theorem="T2_4",
-        ring=ring.spec_string(),
-        hypotheses=[gate],
-        lhs=lhs,
-        rhs=rhs,
-        ratio=Fraction(lhs, rhs),
-        verdict=RATIO_RECORDED,
-        seed=seed,
-        sets=sets,
-    )
+    return CheckReport.conclude("T2_4", ring, [gate], sets, seed, lhs, rhs)

@@ -1,20 +1,10 @@
 """Check reports: one record per verified inequality instance.
 
-Every bound checker returns a :class:`CheckReport`.  The conclusion is kept
-as a denominator-cleared exact integer comparison (lhs vs rhs); the ratio is
-the exact rational lhs/rhs and is only rendered to a float on serialization.
-Whether "good" means lhs >= rhs or lhs <= rhs depends on the inequality; the
-verdict already accounts for the direction.
-
-Rows in ``hypotheses`` follow a naming convention: ``gate_*`` rows are the
-theorem's hypotheses and decide hypothesis_not_met; ``form_*`` rows are
-companion comparisons recorded for information (secondary bound shapes,
-energies, one-sided variants) and never drive the verdict.
-
-Verdicts:
-* pass / fail       -- inequalities with explicit constants, checked exactly;
-* ratio_recorded    -- inequalities stated only up to an implicit constant;
-* hypothesis_not_met -- some gate_* row failed; the conclusion is not claimed.
+Every bound checker returns a :class:`CheckReport`, and every one is built
+by :meth:`CheckReport.conclude`, which holds the verdict rules.  The
+conclusion is kept as a denominator-cleared exact integer comparison (lhs
+vs rhs); the ratio is the exact rational lhs/rhs and is only rendered to a
+float on serialization.
 
 The JSONL wire format per line (integers as decimal strings):
 {"theorem": str, "ring": str, "hypotheses": [{"name", "ok", "lhs", "rhs"}],
@@ -83,6 +73,32 @@ class CheckReport:
     @property
     def gates_ok(self) -> bool:
         return all(h.ok for h in self.hypotheses if h.name.startswith("gate_"))
+
+    @classmethod
+    def conclude(cls, theorem, ring, rows, sets, seed, lhs=0, rhs=0, holds=None) -> "CheckReport":
+        """The report of one check; the only place a verdict is decided.
+
+        Rows named ``gate_*`` are the theorem's hypotheses.  When one fails
+        the verdict is ``hypothesis_not_met``: the conclusion is not claimed,
+        lhs and rhs are 0 and the ratio is null, so a caller returns early
+        without computing them.  Otherwise the ratio is the exact lhs/rhs and
+        ``holds`` decides: None for a claim stated only up to an implicit
+        constant (``ratio_recorded``), else ``pass`` or ``fail`` for a claim
+        with explicit constants.  ``holds`` is the caller's exact comparison
+        of the denominator-cleared sides, ``lhs >= rhs`` or ``lhs <= rhs`` as
+        the inequality points.
+
+        Rows named ``form_*`` are companion comparisons recorded for the
+        reader: secondary bound shapes, energies, one-sided variants, steps
+        of the derivation.  They leave the verdict alone, except where a
+        check puts them into ``holds``: PLUN13 passes only when every one of
+        its rows (the derivation chain and the dilation identity) holds.
+        """
+        report = cls(theorem, ring.spec_string(), rows, 0, 0, None, HYPOTHESIS_NOT_MET, seed, sets)
+        if report.gates_ok:
+            report.lhs, report.rhs, report.ratio = lhs, rhs, Fraction(lhs, rhs)
+            report.verdict = RATIO_RECORDED if holds is None else PASS if holds else FAIL
+        return report
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,6 +8,8 @@ library (e.g. symbolic polynomial reduction instead of convolution rows).
 from collections import Counter
 from itertools import product
 
+from sympy import Abs, Integer, Max, Min, Pow, Rational, false, root, sqrt, sympify, true
+
 
 def slow_mul(ring, a, b):
     """Multiply by expanding a two-variable polynomial and reducing it."""
@@ -155,3 +157,125 @@ def brute_lines(ring, grid_points):
             )
             lines.add(orbit)
     return lines
+
+
+# ---------------------------------------------------------------------------
+# The claimed inequalities, written the way each check's docstring states
+# them (before clearing denominators and fractional exponents) and decided
+# exactly with sympy.  Each takes q, r and the sizes of one input and
+# returns (gates, holds, ratio):
+#
+# * gates: whether every hypothesis holds; when not, holds and ratio are None,
+# * holds: whether the conclusion holds, for claims with explicit constants;
+#   None for claims stated only up to an implicit constant,
+# * ratio: the measured side over the bound, raised to the power that clears
+#   the bound's fractional exponents (the cube for a cube-root bound, the
+#   square for a square-root one).
+
+CUBE_ROOT_HALF = root(Rational(1, 2), 3)
+NOT_MET = (False, None, None)
+
+
+def _ge(x, y) -> bool:
+    """x >= y, decided exactly; an undecidable comparison is an error."""
+    rel = sympify(x) >= sympify(y)
+    assert rel in (true, false), f"undecided: {rel}"
+    return bool(rel)
+
+
+def claim_expander(q, r, A, B, C, image, deg_T):
+    """|f(A,B,C)| >= 1/8 min{q^r, |A||B||C|/q^(2r-1)}; |C| >= 2q^(r-1) if deg T = 2."""
+    q = Integer(q)
+    if deg_T == 2 and not _ge(C, 2 * q ** (r - 1)):
+        return NOT_MET
+    bound = Rational(1, 8) * Min(q**r, A * B * C / q ** (2 * r - 1))
+    return True, _ge(image, bound), image / bound
+
+
+def claim_sum_square(q, r, A, sumset, square_sum):
+    """|A^2+A^2| >= |A|^2 q^r / (2|A+A|^2) for |A| >= 2q^(r-1), |A+A| >= q^(3r-1)/|A|^2."""
+    q = Integer(q)
+    if not (_ge(A, 2 * q ** (r - 1)) and _ge(sumset, q ** (3 * r - 1) / Integer(A) ** 2)):
+        return NOT_MET
+    bound = Rational(1, 2) * A**2 * q**r / Integer(sumset) ** 2
+    return True, _ge(square_sum, bound), square_sum / bound
+
+
+def claim_cube_sum(q, r, A, sumset, cube_sum):
+    """max(|A+A|, |A^3+A^3|)^10 / (q^r |A|^9) for |A+A| >= (q^(3r-1)|A|)^(1/4)."""
+    q = Integer(q)
+    if not _ge(sumset, root(q ** (3 * r - 1) * A, 4)):
+        return NOT_MET
+    return True, None, Max(sumset, cube_sum) ** 10 / (q**r * Integer(A) ** 9)
+
+
+def claim_shifted_image(q, r, A, shifted):
+    """|f(A)+A| >= 2^(-1/3) |A|^(2/3) q^(r/3) for |f(A)+A| >= q^(3r-1)/|A|^2."""
+    q = Integer(q)
+    if not _ge(shifted, q ** (3 * r - 1) / Integer(A) ** 2):
+        return NOT_MET
+    bound = CUBE_ROOT_HALF * Pow(A, Rational(2, 3)) * Pow(q, Rational(r, 3))
+    return True, _ge(shifted, bound), (shifted / bound) ** 3
+
+
+def claim_prod_diff(q, r, A, diff, prod_sum):
+    """max(|A-A|, |AA+AA|) >= 2^(-1/3) |A|^(2/3) q^(r/3) for |A| >= q^(r-1/3)."""
+    q = Integer(q)
+    if not _ge(A, Pow(q, r - Rational(1, 3))):
+        return NOT_MET
+    bound = CUBE_ROOT_HALF * Pow(A, Rational(2, 3)) * Pow(q, Rational(r, 3))
+    m = Max(diff, prod_sum)
+    return True, _ge(m, bound), (m / bound) ** 3
+
+
+def claim_power_energy(q, r, A, units, prod, power_sum):
+    """|A^d+A^d| |AA|^2 / (q^r |A|^2) for A of units with |AA| >= q^(3r-1)/|A|^2."""
+    q = Integer(q)
+    if units != A or not _ge(prod, q ** (3 * r - 1) / Integer(A) ** 2):
+        return NOT_MET
+    return True, None, power_sum * Integer(prod) ** 2 / (q**r * A**2)
+
+
+def claim_incidences(q, r, points, planes, incidences):
+    """|I - (q^2+q+1) N / D| <= q^(2r-1) sqrt(N), N = |Q||Pi|, D = q^(r-1)(q^3+q^2+q+1)."""
+    q = Integer(q)
+    N = points * planes
+    D = q ** (r - 1) * (q**3 + q**2 + q + 1)
+    slack = Abs(incidences - (q**2 + q + 1) * N / D)
+    bound = q ** (2 * r - 1) * sqrt(N)
+    return True, _ge(bound, slack), (slack / bound) ** 2
+
+
+def claim_weighted_incidences(q, r, point_weight, plane_weight, incidences):
+    """I_w / (W^2/q^r + q^(2r-1) W) for equal total weights W."""
+    q = Integer(q)
+    if point_weight != plane_weight:
+        return NOT_MET
+    W = Integer(point_weight)
+    return True, None, incidences / (W**2 / q**r + q ** (2 * r - 1) * W)
+
+
+def claim_collinear_triples(q, r, A, triples):
+    """T <= q^(2r-1)|A|^3 + |A|^6/q^r + 2|A|^4."""
+    q = Integer(q)
+    bound = q ** (2 * r - 1) * A**3 + A**6 / q**r + 2 * A**4
+    return True, _ge(bound, triples), triples / bound
+
+
+def claim_lines(q, r, A, lines):
+    """|L| / min{q^(2r), |A|^6 / q^(4r-2)} for |A| >= 2."""
+    q = Integer(q)
+    if A < 2:
+        return NOT_MET
+    return True, None, lines / Min(q ** (2 * r), A**6 / q ** (4 * r - 2))
+
+
+def claim_plunnecke(A, sumset, dilated_diff, shifted, chain):
+    """|2A-A-A| <= |A+A|^3/|A|^2, with the chain |2A-A-A| <= |A+A-A-A| <= |A+A|^3/|A|^2
+    and the identity |2A-A-A| = |A-(A+A)/2|; the verdict needs all of them."""
+    bound = Integer(sumset) ** 3 / A**2
+    holds = (
+        _ge(bound, dilated_diff) and _ge(chain, dilated_diff) and _ge(bound, chain)
+        and shifted == dilated_diff
+    )
+    return True, holds, dilated_diff / bound

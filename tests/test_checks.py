@@ -1,9 +1,12 @@
 """Per-inequality check functions: gating, exact comparisons, verdicts."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fvrlab
 from fvrlab.checks import (
     check_cube_sum,
     check_expander,
@@ -282,3 +285,24 @@ def test_empty_sets_rejected(z9):
         check_plunnecke_corollary(empty)
     with pytest.raises(ValueError, match="nonempty"):
         check_expander(quadspec(z9), empty, empty, empty)
+
+
+def test_verdict_policy_lives_in_report():
+    # every report is built by CheckReport.conclude, so no other module
+    # constructs a CheckReport or names a verdict constant
+    verdict_names = {"PASS", "FAIL", "HYPOTHESIS_NOT_MET", "RATIO_RECORDED"}
+    offenders = []
+    for path in sorted(Path(fvrlab.__file__).parent.glob("*.py")):
+        if path.name == "report.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "CheckReport":
+                    offenders.append(f"{path.name}:{node.lineno} CheckReport(...)")
+            elif isinstance(node, ast.Name) and node.id in verdict_names:
+                offenders.append(f"{path.name}:{node.lineno} {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr in verdict_names:
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.alias) and node.name in verdict_names:
+                offenders.append(f"{path.name}:{node.lineno} import {node.name}")
+    assert offenders == []

@@ -140,6 +140,43 @@ def test_random_family_counts_come_from_the_mode(tmp_path, monkeypatch, capsys):
     assert code == 2 and out == "" and "points/planes" in err
 
 
+def test_unread_keys_are_refused(tmp_path, monkeypatch, capsys):
+    # keys the theorem or mode does not read were once silently dropped
+    def no_input(*args):
+        raise AssertionError("an input ran before an unread key was refused")
+
+    monkeypatch.setattr(experiments, "_run_input", no_input)
+    t15 = ["check", "T1_5", "--ring", "zpr:p=3,r=2"]
+    cases = [
+        ([*t15, "--A", "1,2", "--points", "5"], "T1_5 does not read 'points'"),
+        ([*t15, "--A", "1,2", "--d", "3"], "T1_5 does not read 'd'"),
+        ([*t15, "--A", "1,2", "--d", "1"], "T1_5 does not read 'd'"),  # the default, given
+        ([*t15, "--mode", "exhaustive:1", "--planes", "3"], "T1_5 does not read 'planes'"),
+        ([*t15, "--A", "1,2", "--B", "3"], "T1_5 does not read 'B'"),
+        (
+            ["check", "T2_2", "--ring", "zpr:p=3,r=2", "--mode", "random:2,2:1", "--A", "1,2"],
+            "T2_2 does not read 'A'",
+        ),
+        ([*t15, "--mode", "random:2:1", "--A", "1,2"], "a mode draws its own sets"),
+        (["geometry", "--ring", "zpr:p=3,r=2", "--mode", "random:2:1", "--A", "1,2"],
+         "a mode draws its own sets"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and message in err, argv
+
+    cfg = tmp_path / "t15.cfg"
+    cfg.write_text("theorem = T1_5\nring = zpr:p=3,r=2\nA = 1,2\nmax_weight = 4\n")
+    code, out, err = run_cli(capsys, "sweep", str(cfg))
+    assert code == 2 and out == "" and "T1_5 does not read 'max_weight'" in err
+    cfg.write_text(
+        "theorem = T1_3\nring = zpr:p=3,r=2\nmode = random:2,2,2:1\n"
+        "f = a=1;R=0,0,0;S=0,0,0;T=0,1,0\nC = 1\n"
+    )
+    code, out, err = run_cli(capsys, "sweep", str(cfg))
+    assert code == 2 and out == "" and "a mode draws its own sets" in err
+
+
 def test_seed_must_fit_64_bits(capsys):
     base = ["check", "T1_5", "--ring", "zpr:p=3,r=2", "--mode", "random:6:2"]
     for seed in ("18446744073709551617", "-5"):  # once aliased seeds 1 and 2**64 - 5
