@@ -2,14 +2,17 @@
 """
 Collinear triples in the grid A x A.
 
-Three grid points are collinear when their pairwise differences are
-parallel, i.e. the 2x2 difference determinant is in enough layers of the
-maximal ideal for a genuine line to pass through all three.  A small set
-A already forces many accidental triples; the bound caps the count by
+A triple (P1, P2, P3) of grid points is collinear when P1 lies on the
+orbit {P2 + k * (P3 - P2) : k in R}.  Over a ring with zero divisors this
+is stronger than a vanishing 2x2 difference determinant: the determinant
+(cross-product) test is only the weak relaxation that the report records
+beside the count.  The checked claim is
 
-    |A|^6 / q^r  +  q^(r-1) * |A|^4      (times an explicit constant)
+    T <= q^(2r-1) |A|^3  +  |A|^6 / q^r  +  2 |A|^4
 
-so a grid can beat the random count only by the ideal-correction term.
+where |A|^6 / q^r is what a structureless grid would give, 2 |A|^4 covers
+the triples with a repeated point, and q^(2r-1) |A|^3 is the correction
+from the maximal ideal.
 """
 
 from fvrlab import (RSet, count_collinear_triples, count_lines,

@@ -14,8 +14,8 @@ An experiment is a pure function of its config.  Determinism rules:
 
 What a sweep needs to know about each theorem id (its set slots, whether
 random sets are units only, the config keys it reads, and the check calls)
-is listed once, in THEOREMS.  config_from_fields, the path of every flag
-and config file, refuses a key that the theorem or mode does not read.
+is listed once, in THEOREMS; _refuse_unread refuses, in ExperimentConfig
+and config_from_fields alike, a key that the theorem or mode does not read.
 
 Exhaustive sweeps are capped by a documented budget: the total number of
 check evaluations, (sum of C(n, k) for k = 1..max_size) ** slots, must not
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -120,6 +120,10 @@ class ExperimentConfig:
             raise ValueError("max_weight must be a positive integer")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
+        # a dataclass cannot tell a given default from an absent field
+        defaults = {f.name: f.default for f in fields(self)}
+        given = [key for key, (name, _) in _FIELDS.items() if getattr(self, name) != defaults[name]]
+        _refuse_unread(self, [*given, *self.literals])
 
 
 @lru_cache(maxsize=64)
@@ -435,9 +439,8 @@ _COMMON_KEYS = ("theorem", "ring", "mode", "seed", "out", "format")
 def config_from_fields(raw: dict[str, str]) -> ExperimentConfig:
     """Build a config from flat key -> text fields; absent keys take the defaults.
 
-    A key given that the theorem or mode does not read is refused, default
-    value or not: set literals beyond the theorem's slots or beside a mode,
-    and options of other theorems.
+    A given key that the config does not read is refused, default value or
+    not (see _refuse_unread).
     """
     for needed in ("theorem", "ring"):
         if needed not in raw:
@@ -445,14 +448,24 @@ def config_from_fields(raw: dict[str, str]) -> ExperimentConfig:
     kwargs = {name: parse(raw[key]) for key, (name, parse) in _FIELDS.items() if key in raw}
     literals = {name: raw[name] for name in ("A", "B", "C") if name in raw}
     config = ExperimentConfig(literals=literals, **kwargs)
+    _refuse_unread(config, raw)
+    return config
+
+
+def _refuse_unread(config: ExperimentConfig, keys) -> None:
+    """Refuse each key config does not read: all but _COMMON_KEYS, its theorem's
+    reads (not max_weight when points = planes = all, which weighs uniformly)
+    and, without a mode, its set slots."""
     theorem = THEOREMS[config.theorem]
     slots = ("A", "B", "C")[: theorem.slots]
-    for key in raw:
+    reads = theorem.reads
+    if (config.points, config.planes) == ("all", "all"):
+        reads = tuple(key for key in reads if key != "max_weight")
+    for key in keys:
         if key in slots and config.mode is not None:
             raise ValueError(f"{key} is an explicit set, and a mode draws its own sets")
-        if key not in (*_COMMON_KEYS, *theorem.reads, *slots):
+        if key not in (*_COMMON_KEYS, *reads, *slots):
             raise ValueError(f"{config.theorem} does not read {key!r}")
-    return config
 
 
 def parse_config_fields(lines) -> dict[str, str]:

@@ -11,6 +11,10 @@ A "line" through two distinct points A, B is the full orbit
 {B + k * (A - B) : k in R} as a point set; distinct pairs can span the
 same orbit, and orbits of different pairs can have different sizes.  L(P)
 counts distinct orbits spanned by pairs from the grid P = A x A.
+
+One pass over the grid pairs (_spanned_orbits) gives each spanned orbit l
+with its grid point count n(l) and its spanning pair count pairs(l); the
+triple count is then T = |A|**2 + 2 * sum over l of pairs(l) * n(l).
 """
 
 from __future__ import annotations
@@ -73,31 +77,16 @@ def _grid(A: RSet):
 
 
 def count_collinear_triples(A: RSet) -> int:
-    """Ordered triples from the grid A x A that lie on a common orbit.
+    """Ordered triples (P1, P2, P3) from the grid A x A that lie on a common orbit.
 
-    For each base pair (P2, P3) the collinear P1 are exactly the grid points
-    of the orbit through P2 with difference P3 - P2, so the count sums
-    |orbit intersect grid| over ordered pairs, deduplicating orbit points
-    that several k values hit.
+    T = |A|**2 + 2 * sum over spanned orbits l of pairs(l) * n(l).  Each of
+    the |A|**2 grid points P2 = P3 spans only {P2}, the one triple
+    (P2, P2, P2); for P2 != P3 the ordered pairs (P2, P3) and (P3, P2) span
+    the same orbit l, and the collinear P1 are its n(l) grid points.
     """
     if len(A) == 0:
         raise ValueError("grid needs a nonempty A")
-    ring = A.ring
-    n = ring.order
-    gx, gy, grid_mask = _grid(A)
-    m = len(gx)
-    ks = np.arange(n, dtype=np.int64)
-    total = 0
-    rows = np.arange(m, dtype=np.int64)[:, None]
-    for i in range(m):
-        dx = ring.sub_arr(gx, np.int64(gx[i]))
-        dy = ring.sub_arr(gy, np.int64(gy[i]))
-        px = ring.add_arr(np.int64(gx[i]), ring.mul_arr(ks[None, :], dx[:, None]))
-        py = ring.add_arr(np.int64(gy[i]), ring.mul_arr(ks[None, :], dy[:, None]))
-        hit = np.zeros((m, n * n), dtype=bool)
-        hit[rows, px * n + py] = True
-        total += int((hit & grid_mask[None, :]).sum())
-    return total
+    return _triples(len(A), _spanned_orbits(A) if len(A) >= 2 else {})
 
 
 def count_collinear_triples_weak(A: RSet) -> int:
@@ -117,8 +106,8 @@ def count_collinear_triples_weak(A: RSet) -> int:
     return total
 
 
-def _spanned_orbits(A: RSet):
-    """Distinct orbits over distinct grid point pairs, with grid counts n(l)."""
+def _spanned_orbits(A: RSet) -> dict[bytes, list[int]]:
+    """Each orbit l spanned by distinct grid points -> [n(l), pairs(l)]."""
     if len(A) < 2:
         raise ValueError("grid lines need |A| >= 2")
     ring = A.ring
@@ -126,7 +115,7 @@ def _spanned_orbits(A: RSet):
     gx, gy, grid_mask = _grid(A)
     m = len(gx)
     ks = np.arange(n, dtype=np.int64)
-    seen: dict[bytes, int] = {}
+    seen: dict[bytes, list[int]] = {}
     for i in range(m):
         dx = ring.sub_arr(gx[i + 1 :], np.int64(gx[i]))
         dy = ring.sub_arr(gy[i + 1 :], np.int64(gy[i]))
@@ -135,9 +124,16 @@ def _spanned_orbits(A: RSet):
         codes = np.sort(px * n + py, axis=1)
         for row in codes:
             key = row.tobytes()
-            if key not in seen:
-                seen[key] = int(grid_mask[np.unique(row)].sum())
+            counts = seen.get(key)
+            if counts is None:
+                counts = seen[key] = [int(grid_mask[np.unique(row)].sum()), 0]
+            counts[1] += 1
     return seen
+
+
+def _triples(na: int, orbits: dict[bytes, list[int]]) -> int:
+    """T = |A|**2 + 2 * sum of pairs(l) * n(l); see count_collinear_triples."""
+    return na * na + 2 * sum(pairs * n for n, pairs in orbits.values())
 
 
 def count_lines(A: RSet) -> int:
@@ -163,27 +159,21 @@ def geometry_bound_report(A: RSet, seed: int | None = None) -> CheckReport:
     after clearing q**r.  For |A| >= 2 two companions are recorded: the
     pair-coverage inequality |A|**4 <= sum over lines of n(l)**2 (every
     ordered grid pair lies on at least one spanned line), and the
-    cross-product relaxation count.
+    cross-product relaxation count.  One orbit pass gives T and the lines.
     """
     ring = A.ring
-    if len(A) == 0:
-        raise ValueError("grid needs a nonempty A")
     q, r = ring.q, ring.r
     na = len(A)
-    t = count_collinear_triples(A)
-    t_weak = count_collinear_triples_weak(A)
+    t_weak = count_collinear_triples_weak(A)  # refuses an empty A
+    orbits = _spanned_orbits(A) if na >= 2 else {}
+    t = _triples(na, orbits)
     lhs = q**r * t
     rhs = q ** (3 * r - 1) * na**3 + na**6 + 2 * q**r * na**4
     rows = [BoundRow("form_weak_relaxation", t <= t_weak, t, t_weak)]
-    sets = {
-        "A": A.literal,
-        "triples": str(t),
-        "weak_triples": str(t_weak),
-    }
+    sets = {"A": A.literal, "triples": str(t), "weak_triples": str(t_weak)}
     if na >= 2:
-        orbits = _spanned_orbits(A)
         lcount = len(orbits)
-        sum_nl_sq = sum(c * c for c in orbits.values())
+        sum_nl_sq = sum(n * n for n, _ in orbits.values())
         rows.append(BoundRow("form_pair_coverage", na**4 <= sum_nl_sq, na**4, sum_nl_sq))
         line_lhs = lcount * q ** (4 * r - 2)
         line_rhs = min(q ** (6 * r - 2), na**6)

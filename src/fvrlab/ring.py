@@ -336,10 +336,6 @@ class Ring:
             raise ValueError("element not divisible by z**v")
         return a // self.q**v
 
-    def shift_up(self, a: int, v: int) -> int:
-        """Multiply by z**v."""
-        return (a * self.q**v) % self.order
-
     def uniformizer(self) -> int:
         """Index of z; 0 when r = 1 (see uniformizer_degenerate)."""
         return self.q if self.r > 1 else 0

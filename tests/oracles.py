@@ -3,11 +3,14 @@
 Everything here trades speed for obviousness: plain loops, no tables, no
 vectorization, and where possible a genuinely different algorithm than the
 library (e.g. symbolic polynomial reduction instead of convolution rows).
+The one vectorized reference, hit_collinear_triples, is for grids too
+large for the scalar loops.
 """
 
 from collections import Counter
 from itertools import product
 
+import numpy as np
 from sympy import Abs, Integer, Max, Min, Pow, Rational, false, root, sqrt, sympify, true
 
 
@@ -142,6 +145,33 @@ def brute_collinear_triples(ring, grid_points):
         for p1, p2, p3 in product(pts, repeat=3)
         if brute_is_collinear(ring, p1, p2, p3)
     )
+
+
+def hit_collinear_triples(A):
+    """Grid triples by marking, for each base point P2 and each grid P3, the
+    orbit {P2 + k*(P3 - P2)} in an (m, n**2) hit matrix and counting its grid
+    points; the former library loop, kept for grids too large for the scalar
+    brute force.
+    """
+    ring = A.ring
+    n = ring.order
+    gx = np.repeat(A.members, len(A))
+    gy = np.tile(A.members, len(A))
+    grid_mask = np.zeros(n * n, dtype=bool)
+    grid_mask[gx * n + gy] = True
+    m = len(gx)
+    ks = np.arange(n, dtype=np.int64)
+    rows = np.arange(m, dtype=np.int64)[:, None]
+    total = 0
+    for i in range(m):
+        dx = ring.sub_arr(gx, np.int64(gx[i]))
+        dy = ring.sub_arr(gy, np.int64(gy[i]))
+        px = ring.add_arr(np.int64(gx[i]), ring.mul_arr(ks[None, :], dx[:, None]))
+        py = ring.add_arr(np.int64(gy[i]), ring.mul_arr(ks[None, :], dy[:, None]))
+        hit = np.zeros((m, n * n), dtype=bool)
+        hit[rows, px * n + py] = True
+        total += int((hit & grid_mask[None, :]).sum())
+    return total
 
 
 def brute_lines(ring, grid_points):

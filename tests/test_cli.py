@@ -177,6 +177,26 @@ def test_unread_keys_are_refused(tmp_path, monkeypatch, capsys):
     assert code == 2 and out == "" and "a mode draws its own sets" in err
 
 
+def test_uniform_weights_do_not_read_max_weight(monkeypatch, capsys):
+    # points = planes = all weighs every triple 1, so --max-weight was once dropped
+    base = ["check", "T2_4", "--ring", "zpr:p=3,r=1", "--points", "all", "--planes", "all"]
+    with monkeypatch.context() as patch:
+        def no_input(*args):
+            raise AssertionError("an input ran before max_weight was refused")
+
+        patch.setattr(experiments, "_run_input", no_input)
+        for weight in ("3", "4"):
+            code, out, err = run_cli(capsys, *base, "--max-weight", weight)
+            assert code == 2 and out == "" and "T2_4 does not read 'max_weight'" in err
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0 and json.loads(out.splitlines()[0])["theorem"] == "T2_4"
+    code, out, _ = run_cli(
+        capsys, "check", "T2_4", "--ring", "zpr:p=3,r=1", "--points", "4", "--planes", "4",
+        "--max-weight", "3",
+    )
+    assert code == 0 and json.loads(out.splitlines()[0])["theorem"] == "T2_4"
+
+
 def test_seed_must_fit_64_bits(capsys):
     base = ["check", "T1_5", "--ring", "zpr:p=3,r=2", "--mode", "random:6:2"]
     for seed in ("18446744073709551617", "-5"):  # once aliased seeds 1 and 2**64 - 5

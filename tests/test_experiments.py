@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from fvrlab import experiments
 from fvrlab.experiments import (
     EXHAUSTIVE_BUDGET,
     ExperimentConfig,
@@ -205,6 +206,36 @@ def test_config_validation():
         ExperimentConfig(theorem="T1_9", ring_spec=Z9, d=0)
     with pytest.raises(ValueError, match="positive"):
         ExperimentConfig(theorem="T2_4", ring_spec=Z9, max_weight=0)
+
+
+def test_config_refuses_unread_fields(monkeypatch):
+    # the Python API once dropped fields its theorem does not read
+    def no_input(*args):
+        raise AssertionError("an input ran before an unread field was refused")
+
+    monkeypatch.setattr(experiments, "_run_input", no_input)
+    with pytest.raises(ValueError, match="T1_5 does not read 'd'"):
+        run_experiment(
+            ExperimentConfig(
+                theorem="T1_5", ring_spec="zpr:p=3,r=2", literals={"A": "1,2"}, d=3, points="5"
+            )
+        )
+    cases = [
+        (dict(theorem="T1_5", literals={"A": "1,2"}, points="5"), "T1_5 does not read 'points'"),
+        (dict(theorem="T1_5", literals={"A": "1,2", "B": "3"}), "T1_5 does not read 'B'"),
+        (dict(theorem="T1_5", mode=parse_mode("random:2:1"), literals={"A": "1"}),
+         "a mode draws its own sets"),
+        (dict(theorem="T2_4", points="all", planes="all", max_weight=3),
+         "T2_4 does not read 'max_weight'"),
+        (dict(theorem="T7_1", literals={"A": "1"}, f="a=1;R=0,0,0;S=0,0,0;T=0,1,0"),
+         "T7_1 does not read 'f'"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(ring_spec=Z9, **kwargs)
+    # a field holding its default cannot be told from an absent one
+    ExperimentConfig(theorem="T1_5", ring_spec=Z9, literals={"A": "1,2"}, d=1, max_weight=4)
+    ExperimentConfig(theorem="T2_4", ring_spec=Z9, points="all", planes="all", max_weight=4)
 
 
 def test_config_file_parsing(tmp_path):

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from fvrlab import geometry
 from fvrlab.geometry import (
     count_collinear_triples,
     count_collinear_triples_weak,
@@ -14,11 +15,17 @@ from fvrlab.geometry import (
     line_count_report,
     line_through,
 )
-from fvrlab.ring import make_ring
+from fvrlab.ring import make_ring, parse_ring_spec
 from fvrlab.sampling import mix64, sample_subset
 from fvrlab.setalg import RSet, dilate, translate
 
-from oracles import brute_collinear_triples, brute_is_collinear, brute_lines, is_collinear_weak
+from oracles import (
+    brute_collinear_triples,
+    brute_is_collinear,
+    brute_lines,
+    hit_collinear_triples,
+    is_collinear_weak,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,10 +88,43 @@ def test_lines_frozen_z3(z3):
 
 def test_counts_match_brute(all_rings):
     for ring in all_rings:
-        A = sample_subset(ring, 3, mix64(71, ring.order))
-        pts = grid_points(A)
-        assert count_collinear_triples(A) == brute_collinear_triples(ring, pts)
-        assert count_lines(A) == len(brute_lines(ring, pts))
+        for size in (1, 2, 3):
+            A = sample_subset(ring, size, mix64(71, ring.order))
+            pts = grid_points(A)
+            assert count_collinear_triples(A) == brute_collinear_triples(ring, pts), (ring, size)
+            if size >= 2:
+                assert count_lines(A) == len(brute_lines(ring, pts)), (ring, size)
+
+
+@pytest.mark.parametrize("spec", ["zpr:p=3,r=4", "fqxr:p=3,s=2,r=2"])
+def test_triples_match_hit_oracle(spec):
+    # grids too large for the scalar brute force: the per-base-point hit matrix
+    ring = parse_ring_spec(spec)
+    for trial in range(4):
+        A = sample_subset(ring, 6, mix64(74, trial))
+        assert count_collinear_triples(A) == hit_collinear_triples(A), A.literal
+
+
+def test_bound_report_makes_one_orbit_pass(z9, monkeypatch):
+    # the triples, lines and n(l) share one orbit pass; the weak count is the other grid loop
+    calls = []
+
+    def counted(name, real):
+        def wrapper(A):
+            calls.append(name)
+            return real(A)
+
+        return wrapper
+
+    for name in ("_spanned_orbits", "_grid"):
+        monkeypatch.setattr(geometry, name, counted(name, getattr(geometry, name)))
+    A = sample_subset(z9, 4, mix64(75, 9))
+    rep = geometry_bound_report(A)
+    assert calls.count("_spanned_orbits") == 1 and calls.count("_grid") == 2
+    assert rep.sets["triples"] == str(hit_collinear_triples(A))
+    calls.clear()
+    geometry_bound_report(RSet.from_indices(z9, [4]))
+    assert calls == ["_grid"]
 
 
 def test_weak_count_dominates(z9, f9):
