@@ -12,6 +12,18 @@ A "line" through two distinct points A, B is the full orbit
 same orbit, and orbits of different pairs can have different sizes.  L(P)
 counts distinct orbits spanned by pairs from the grid P = A x A.
 
+The orbit of P in direction d != 0 is the coset P + R*d, so it is keyed by
+the class of the cyclic submodule R*d and a canonical representative of P
+modulo it, never by enumerating P + k*d:
+
+* class: with v = min(val dx, val dy) and (a', b') = (dx, dy) / z**v, the
+  generator is z**v * (1, t), t = b' / a' mod z**(r-v), when val dx = v,
+  and z**v * (t, 1), t = a' / b', otherwise (flipped).  Its class code is
+  (2v + flip) * q**r + w, where w = z**v * t is the non-pivot coordinate;
+* representative of P = (x, y) modulo R * z**v * (1, t): the point
+  (x mod z**v, y - (x div z**v) * w), the flipped case mirrored.  Indices
+  are base-q digit strings, so mod and div by z**v are % and // by q**v.
+
 One pass over the grid pairs (_spanned_orbits) gives each spanned orbit l
 with its grid point count n(l) and its spanning pair count pairs(l); the
 triple count is then T = |A|**2 + 2 * sum over l of pairs(l) * n(l).
@@ -67,13 +79,8 @@ def is_collinear(ring: Ring, p1: Point2, p2: Point2, p3: Point2) -> bool:
 
 
 def _grid(A: RSet):
-    ring = A.ring
     m = len(A)
-    gx = np.repeat(A.members, m)
-    gy = np.tile(A.members, m)
-    mask = np.zeros(ring.order**2, dtype=bool)
-    mask[gx * ring.order + gy] = True
-    return gx, gy, mask
+    return np.repeat(A.members, m), np.tile(A.members, m)
 
 
 def count_collinear_triples(A: RSet) -> int:
@@ -86,7 +93,8 @@ def count_collinear_triples(A: RSet) -> int:
     """
     if len(A) == 0:
         raise ValueError("grid needs a nonempty A")
-    return _triples(len(A), _spanned_orbits(A) if len(A) >= 2 else {})
+    _, n_l, pairs = _spanned_orbits(A) if len(A) >= 2 else _NO_ORBITS
+    return _triples(len(A), n_l, pairs)
 
 
 def count_collinear_triples_weak(A: RSet) -> int:
@@ -94,7 +102,7 @@ def count_collinear_triples_weak(A: RSet) -> int:
     if len(A) == 0:
         raise ValueError("grid needs a nonempty A")
     ring = A.ring
-    gx, gy, _ = _grid(A)
+    gx, gy = _grid(A)
     m = len(gx)
     total = 0
     for i in range(m):
@@ -106,50 +114,83 @@ def count_collinear_triples_weak(A: RSet) -> int:
     return total
 
 
-def _spanned_orbits(A: RSet) -> dict[bytes, list[int]]:
-    """Each orbit l spanned by distinct grid points -> [n(l), pairs(l)]."""
+def _direction_class(ring: Ring, dx, dy) -> np.ndarray:
+    """Class code (2v + flip) * q**r + w of each cyclic submodule R*(dx, dy), d != 0.
+
+    Its generator is (z**v, w) when val dx = v = min(val dx, val dy), and
+    (w, z**v) otherwise (flip); see the module docstring.
+    """
+    n = ring.order
+    vx, vy = ring.val_arr(dx), ring.val_arr(dy)
+    flip = vy < vx
+    v = np.minimum(vx, vy)
+    qv = ring.q**v
+    inv = ring.inv_table[np.where(flip, dy, dx) // qv]
+    t = ring.mul_arr(np.where(flip, dx, dy) // qv, inv)
+    return (2 * v + flip) * n + t * qv % n
+
+
+def _line_keys(ring: Ring, x, y, cls) -> np.ndarray:
+    """Key of the orbit (x, y) + R*g, where cls is the class code of g.
+
+    The key is (cls + lo) * q**r + hi, where (lo, hi) is the representative
+    of (x, y), pivot coordinate first.  The w part of cls is a multiple of
+    q**v and lo < q**v, so cls + lo keeps both.  Keys stay below
+    2r * q**(2r), at most 9.5e12 (zpr:p=7,r=7) under DEFAULT_MAX_ORDER, so
+    int64 holds them.
+    """
+    n = ring.order
+    vf, w = np.divmod(cls, n)
+    flip = vf % 2 == 1
+    qv = ring.q ** (vf // 2)
+    pivot, other = np.where(flip, y, x), np.where(flip, x, y)
+    hi = ring.sub_arr(other, ring.mul_arr(pivot // qv, w))
+    return (cls + pivot % qv) * n + hi
+
+
+def _spanned_orbits(A: RSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbits l spanned by distinct grid points: (span, n(l), pairs(l)).
+
+    span holds one spanning pair (x1, y1, x2, y2) per orbit.  The orbits
+    are found from every grid pair's line key at once; n(l) counts the grid
+    points whose key under the class of l equals the key of l.
+    """
     if len(A) < 2:
         raise ValueError("grid lines need |A| >= 2")
     ring = A.ring
-    n = ring.order
-    gx, gy, grid_mask = _grid(A)
-    m = len(gx)
-    ks = np.arange(n, dtype=np.int64)
-    seen: dict[bytes, list[int]] = {}
-    for i in range(m):
-        dx = ring.sub_arr(gx[i + 1 :], np.int64(gx[i]))
-        dy = ring.sub_arr(gy[i + 1 :], np.int64(gy[i]))
-        px = ring.add_arr(np.int64(gx[i]), ring.mul_arr(ks[None, :], dx[:, None]))
-        py = ring.add_arr(np.int64(gy[i]), ring.mul_arr(ks[None, :], dy[:, None]))
-        codes = np.sort(px * n + py, axis=1)
-        for row in codes:
-            key = row.tobytes()
-            counts = seen.get(key)
-            if counts is None:
-                counts = seen[key] = [int(grid_mask[np.unique(row)].sum()), 0]
-            counts[1] += 1
-    return seen
+    gx, gy = _grid(A)
+    i, j = np.triu_indices(len(gx), 1)
+    x, y = gx[i], gy[i]
+    cls = _direction_class(ring, ring.sub_arr(gx[j], x), ring.sub_arr(gy[j], y))
+    keys, first, pairs = np.unique(
+        _line_keys(ring, x, y, cls), return_index=True, return_counts=True
+    )
+    classes = np.unique(cls)[:, None]
+    point_keys, points = np.unique(_line_keys(ring, gx, gy, classes), return_counts=True)
+    n_l = points[np.searchsorted(point_keys, keys)]
+    a, b = i[first], j[first]
+    return np.stack([gx[a], gy[a], gx[b], gy[b]], axis=1), n_l, pairs
 
 
-def _triples(na: int, orbits: dict[bytes, list[int]]) -> int:
+# a single grid point spans no orbit
+_NO_ORBITS = (np.zeros((0, 4), np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64))
+
+
+def _triples(na: int, n_l: np.ndarray, pairs: np.ndarray) -> int:
     """T = |A|**2 + 2 * sum of pairs(l) * n(l); see count_collinear_triples."""
-    return na * na + 2 * sum(pairs * n for n, pairs in orbits.values())
+    return na * na + 2 * int(np.dot(pairs, n_l))
 
 
 def count_lines(A: RSet) -> int:
     """Number of distinct orbit lines spanned by pairs of grid points."""
-    return len(_spanned_orbits(A))
+    return len(_spanned_orbits(A)[0])
 
 
 def grid_lines(A: RSet) -> list[Line2]:
-    """The distinct spanned lines themselves, sorted for determinism."""
-    ring = A.ring
-    n = ring.order
-    out = []
-    for key in sorted(_spanned_orbits(A)):
-        codes = sorted(set(np.frombuffer(key, dtype=np.int64).tolist()))
-        out.append(Line2(tuple((c // n, c % n) for c in codes)))
-    return out
+    """The distinct spanned lines themselves, sorted by their points."""
+    span, _, _ = _spanned_orbits(A)
+    lines = [line_through(A.ring, (x2, y2), (x1, y1)) for x1, y1, x2, y2 in span.tolist()]
+    return sorted(lines, key=lambda l: l.points)
 
 
 def geometry_bound_report(A: RSet, seed: int | None = None) -> CheckReport:
@@ -165,15 +206,15 @@ def geometry_bound_report(A: RSet, seed: int | None = None) -> CheckReport:
     q, r = ring.q, ring.r
     na = len(A)
     t_weak = count_collinear_triples_weak(A)  # refuses an empty A
-    orbits = _spanned_orbits(A) if na >= 2 else {}
-    t = _triples(na, orbits)
+    _, n_l, pairs = _spanned_orbits(A) if na >= 2 else _NO_ORBITS
+    t = _triples(na, n_l, pairs)
     lhs = q**r * t
     rhs = q ** (3 * r - 1) * na**3 + na**6 + 2 * q**r * na**4
     rows = [BoundRow("form_weak_relaxation", t <= t_weak, t, t_weak)]
     sets = {"A": A.literal, "triples": str(t), "weak_triples": str(t_weak)}
     if na >= 2:
-        lcount = len(orbits)
-        sum_nl_sq = sum(n * n for n, _ in orbits.values())
+        lcount = len(n_l)
+        sum_nl_sq = int(np.dot(n_l, n_l))
         rows.append(BoundRow("form_pair_coverage", na**4 <= sum_nl_sq, na**4, sum_nl_sq))
         line_lhs = lcount * q ** (4 * r - 2)
         line_rhs = min(q ** (6 * r - 2), na**6)

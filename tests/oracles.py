@@ -3,8 +3,8 @@
 Everything here trades speed for obviousness: plain loops, no tables, no
 vectorization, and where possible a genuinely different algorithm than the
 library (e.g. symbolic polynomial reduction instead of convolution rows).
-The one vectorized reference, hit_collinear_triples, is for grids too
-large for the scalar loops.
+The vectorized references, hit_collinear_triples and orbit_lines, are for
+grids too large for the scalar loops.
 """
 
 from collections import Counter
@@ -172,6 +172,31 @@ def hit_collinear_triples(A):
         hit[rows, px * n + py] = True
         total += int((hit & grid_mask[None, :]).sum())
     return total
+
+
+def orbit_lines(A):
+    """Each orbit {P + k*(Q - P) : k in R} spanned by distinct grid points,
+    as its sorted point codes x*n + y -> [n(l), pairs(l)]; the former library
+    pass, which enumerates the orbits of one base point's pairs as an
+    (m - i, n) array.
+    """
+    ring = A.ring
+    n = ring.order
+    gx = np.repeat(A.members, len(A))
+    gy = np.tile(A.members, len(A))
+    grid = set((gx * n + gy).tolist())
+    ks = np.arange(n, dtype=np.int64)
+    seen = {}
+    for i in range(len(gx)):
+        dx = ring.sub_arr(gx[i + 1 :], np.int64(gx[i]))
+        dy = ring.sub_arr(gy[i + 1 :], np.int64(gy[i]))
+        px = ring.add_arr(np.int64(gx[i]), ring.mul_arr(ks[None, :], dx[:, None]))
+        py = ring.add_arr(np.int64(gy[i]), ring.mul_arr(ks[None, :], dy[:, None]))
+        for row in (px * n + py).tolist():
+            key = tuple(sorted(set(row)))
+            counts = seen.setdefault(key, [len(grid.intersection(key)), 0])
+            counts[1] += 1
+    return seen
 
 
 def brute_lines(ring, grid_points):

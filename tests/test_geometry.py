@@ -1,7 +1,9 @@
 """Collinearity, grid triple counts, and line counts over R x R."""
 
+from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from fvrlab import geometry
@@ -25,6 +27,7 @@ from oracles import (
     brute_lines,
     hit_collinear_triples,
     is_collinear_weak,
+    orbit_lines,
 )
 
 
@@ -74,16 +77,87 @@ def test_triples_frozen_z3(z3):
     assert count_collinear_triples(RSet.full(z3)) == 225
 
 
-def test_lines_frozen_z3(z3):
+def test_lines_frozen_z3(z3, z9, z25):
     A = RSet.from_indices(z3, [0, 1])
     assert count_lines(A) == 12 - 6  # 6 of the 12 affine lines are spanned
     lines = grid_lines(A)
     assert len(lines) == 6
     assert all(len(l) == 3 for l in lines)
-    assert lines == sorted(lines, key=lambda l: l.points)
-    want = {frozenset(l) for l in brute_lines(z3, grid_points(A))}
-    assert {frozenset(l.points) for l in lines} == want
     assert count_lines(RSet.full(z3)) == 12
+    # z9 and z25 have point codes x*n + y past 255, where a byte-wise sort breaks
+    for ring, members in [(z3, [0, 1]), (z9, [0, 1, 4, 7]), (z25, [0, 3, 11, 17, 20])]:
+        A = RSet.from_indices(ring, members)
+        lines = grid_lines(A)
+        assert lines == sorted(lines, key=lambda l: l.points)
+        want = brute_lines(ring, grid_points(A))
+        assert len(lines) == len(want) == count_lines(A)
+        assert {frozenset(l.points) for l in lines} == want
+
+
+def _orbit_multiset(n_l, pairs):
+    return Counter(zip(n_l.tolist(), pairs.tolist()))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["zpr:p=3,r=2", "zpr:p=5,r=2", "zpr:p=3,r=3", "zpr:p=3,r=4", "fqxr:p=3,s=2,r=2", "fqxr:p=3,s=1,r=3"],
+)
+def test_spanned_orbits_match_orbit_oracle(spec):
+    # the line keys against the enumerated orbits they replace
+    ring = parse_ring_spec(spec)
+    for size in range(2, 8):
+        A = sample_subset(ring, size, mix64(76, size))
+        _, n_l, pairs = geometry._spanned_orbits(A)
+        want = Counter(tuple(c) for c in orbit_lines(A).values())
+        assert _orbit_multiset(n_l, pairs) == want, A.literal
+
+
+def test_spanned_orbits_full_plane(z9, f3x2):
+    for ring in (z9, f3x2):
+        A = RSet.full(ring)
+        span, n_l, pairs = geometry._spanned_orbits(A)
+        assert len(span) == 216
+        want = Counter(tuple(c) for c in orbit_lines(A).values())
+        assert _orbit_multiset(n_l, pairs) == want
+
+
+def _nonzero_directions(ring):
+    codes = np.arange(1, ring.order**2, dtype=np.int64)
+    return codes // ring.order, codes % ring.order
+
+
+@pytest.mark.parametrize("spec, want", [("zpr:p=3,r=4", 160), ("fqxr:p=3,s=2,r=2", 100), ("zpr:p=3,r=2", 16)])
+def test_direction_class_count(spec, want):
+    # sum over v < r of q**(r-v) unflipped plus q**(r-v-1) flipped generators
+    ring = parse_ring_spec(spec)
+    q, r = ring.q, ring.r
+    assert sum(q ** (r - v) + q ** (r - v - 1) for v in range(r)) == want
+    cls = geometry._direction_class(ring, *_nonzero_directions(ring))
+    assert len(np.unique(cls)) == want
+
+
+def test_direction_class_generator_spans_d(z9, f3x2):
+    # decode (2v + flip) * n + w into the generator (z**v, w), or (w, z**v) flipped
+    for ring in (z9, f3x2):
+        dx, dy = _nonzero_directions(ring)
+        cls = geometry._direction_class(ring, dx, dy)
+        for a, b, c in zip(dx.tolist(), dy.tolist(), cls.tolist()):
+            vf, w = divmod(c, ring.order)
+            zv = ring.q ** (vf // 2)
+            g = (w, zv) if vf % 2 else (zv, w)
+            assert line_through(ring, g, (0, 0)) == line_through(ring, (a, b), (0, 0)), (a, b)
+
+
+def test_line_keys_fit_int64_at_order_cap():
+    # zpr:p=7,r=7 has the largest 2r * n**2 under DEFAULT_MAX_ORDER; its largest
+    # key has the top class code, the top low digit and hi = n - 1
+    ring = make_ring("zpr", 7, r=7)
+    n, r = ring.order, ring.r
+    cls = geometry._direction_class(ring, np.int64(0), np.int64(ring.q ** (r - 1)))
+    assert int(cls) == (2 * r - 1) * n
+    point = np.int64(n - 1)
+    key = int(geometry._line_keys(ring, point, point, cls))
+    assert key == ((2 * r - 1) * n + ring.q ** (r - 1) - 1) * n + n - 1 < 2 * r * n * n < 2**63
 
 
 def test_counts_match_brute(all_rings):
