@@ -17,6 +17,8 @@ from fvrlab.cli import build_parser, main
 from fvrlab.experiments import THEOREMS
 
 F3 = "a=1;R=0,0,0;S=0,0,0;T=0,1,0"
+# quadratic T on F_9[x]/(x^2): gate_c_size needs |C| >= 2 * 9 = 18
+F9_QUAD = "a=2;R=1,0,3;S=0,5,0;T=1,2,0"
 
 T1_9_CFG = "theorem = T1_9\nring = zpr:p=5,r=2\nmode = random:14:12\nseed = 31337\nd = 2\n"
 T2_4_CFG = "theorem = T2_4\nring = zpr:p=3,r=2\nmode = random:7,7:5\nseed = 11\nmax_weight = 5\n"
@@ -36,6 +38,26 @@ CASES = {
         None, None, 0,
         "7ce4802dba1bfe520c22cd03560d74c4646faafe4d6b54187b706f2e01303372",
         "9a0d49ddbbdb15ff45bc12cff4ff40c1b0d6b90a5658349af7fabc9c02e30546",
+    ),
+    "T1_3-exhaustive-2": (
+        ["check", "T1_3", "--ring", "zpr:p=3,r=1", "--f", F3, "--mode", "exhaustive:2"],
+        None, None, 0,
+        "98d126b3ab0ba9a87d841b641eb1bcbd0532fe98ee7fe3e3a20c4534fd0b351b",
+        "1bf1a0d16833c34399a685cfec6b362ecc3806bd3114e009640c2f959db6b241",
+    ),
+    "T1_3-random-fqxr-gate-fails": (
+        ["check", "T1_3", "--ring", "fqxr:p=3,s=2,r=2", "--f", F9_QUAD,
+         "--mode", "random:6,5,17:12", "--seed", "21"],
+        None, None, 0,
+        "500f4d52cec7a794ba5fde0ab86bdca19613c91cbc16de60cecb48948432a61e",
+        "4cbc4f9a029718183a6bef29367b0000dd3b1ad0a6bc1bd055255500ec0af39a",
+    ),
+    "T1_3-random-fqxr-gate-holds": (
+        ["check", "T1_3", "--ring", "fqxr:p=3,s=2,r=2", "--f", F9_QUAD,
+         "--mode", "random:2,3,18:12", "--seed", "21"],
+        None, None, 0,
+        "523da9963ef7d112ec73317f69930135c22b7124bd702e627217c35d150d201c",
+        "f31c1c1e8e225786487002287d7de913f70915e165770cfcefe7f46e875f16ea",
     ),
     "T1_5-exhaustive": (
         ["check", "T1_5", "--ring", "zpr:p=3,r=2", "--mode", "exhaustive:1"],
