@@ -9,7 +9,9 @@ power, so every comparison stays in integers.
 
 from __future__ import annotations
 
-from .report import BoundRow, CheckReport, set_literal_or_digest
+import numpy as np
+
+from .report import BoundRow, CheckReport, gates_hold, literals_or_digests, set_literal_or_digest
 from .setalg import (
     QuadPolySpec,
     RSet,
@@ -18,6 +20,7 @@ from .setalg import (
     dilate,
     energy,
     image_quad3,
+    image_quad3_sizes,
     poly1_table,
     power_set,
     prodset,
@@ -43,36 +46,71 @@ def iroot3_ceil(n: int) -> int:
     return c
 
 
+def expander_rule(q: int, r: int, deg_T: int, na: int, nb: int, nc: int, image: int | None):
+    """T1_3 on sizes alone: (rows, lhs, rhs, holds) for CheckReport.conclude.
+
+    A degree-two T requires |C| >= 2 * q**(r-1) (gate_c_size).  Cleared
+    claim: 8 * q**(2r-1) * |image| >= min(q**(3r-1), |A||B||C|).  The image
+    size is read only once the gates hold; with image None the rule gives
+    the gate rows alone, so a caller sizes the image only when they hold.
+    """
+    rows = []
+    if deg_T == 2:
+        need = 2 * q ** (r - 1)
+        rows.append(BoundRow("gate_c_size", nc >= need, nc, need))
+    if image is None or not gates_hold(rows):
+        return rows, 0, 0, None
+    lhs = 8 * q ** (2 * r - 1) * image
+    rhs = min(q ** (3 * r - 1), na * nb * nc)
+    return rows, lhs, rhs, lhs >= rhs
+
+
 def check_expander(
     spec: QuadPolySpec, A: RSet, B: RSet, C: RSet, seed: int | None = None
 ) -> CheckReport:
-    """Image lower bound for a*x*y + R(x) + S(y) + T(z), constant 1/8.
-
-    Cleared form: 8 * q**(2r-1) * |image| >= min(q**(3r-1), |A||B||C|).
-    A degree-two T additionally requires |C| >= 2 * q**(r-1).
-    """
+    """Image lower bound for a*x*y + R(x) + S(y) + T(z), constant 1/8; see expander_rule."""
     _require_nonempty(A, B, C)
     ring = _same_ring(A, B, C)
     if spec.ring != ring:
         raise ValueError("polynomial and sets live in different rings")
-    q, r = ring.q, ring.r
-    sets = {
-        "f": spec.literal,
-        "A": set_literal_or_digest(A),
-        "B": set_literal_or_digest(B),
-        "C": set_literal_or_digest(C),
-    }
-    rows = []
-    if spec.deg_T == 2:
-        need = 2 * q ** (r - 1)
-        rows.append(BoundRow("gate_c_size", len(C) >= need, len(C), need))
-        if not rows[-1].ok:
-            return CheckReport.conclude("T1_3", ring, rows, sets, seed)
-    img = image_quad3(spec, A, B, C)
-    lhs = 8 * q ** (2 * r - 1) * len(img)
-    rhs = min(q ** (3 * r - 1), len(A) * len(B) * len(C))
-    sets["image_size"] = str(len(img))
-    return CheckReport.conclude("T1_3", ring, rows, sets, seed, lhs, rhs, holds=lhs >= rhs)
+    sizes = (len(A), len(B), len(C))
+    rows, *_ = expander_rule(ring.q, ring.r, spec.deg_T, *sizes, None)
+    image = len(image_quad3(spec, A, B, C)) if gates_hold(rows) else None
+    literals = [set_literal_or_digest(X) for X in (A, B, C)]
+    return _expander_report(spec, sizes, literals, image, seed)
+
+
+def expander_reports(spec: QuadPolySpec, A, B, C, seeds) -> list[CheckReport]:
+    """check_expander on every row of (rows, order) bool masks, with one image kernel.
+
+    Row i gives the report of check_expander(spec, A_i, B_i, C_i, seeds[i]);
+    every row must be nonempty.  Only rows whose gates hold are sized.
+    """
+    ring = spec.ring
+    sizes = list(zip(*(M.sum(axis=1).tolist() for M in (A, B, C))))
+    gated = np.array(
+        [gates_hold(expander_rule(ring.q, ring.r, spec.deg_T, *abc, None)[0]) for abc in sizes],
+        dtype=bool,
+    )
+    images = np.zeros(len(sizes), dtype=np.int64)
+    images[gated] = image_quad3_sizes(spec, A[gated], B[gated], C[gated])
+    literals = zip(*(literals_or_digests(M) for M in (A, B, C)))
+    return [
+        _expander_report(spec, abc, lits, image if ok else None, seed)
+        for abc, lits, image, ok, seed in zip(
+            sizes, literals, images.tolist(), gated.tolist(), seeds
+        )
+    ]
+
+
+def _expander_report(spec: QuadPolySpec, sizes, literals, image, seed) -> CheckReport:
+    """The T1_3 report of sets with these sizes and literals; image None if unsized."""
+    ring = spec.ring
+    sets = {"f": spec.literal, "A": literals[0], "B": literals[1], "C": literals[2]}
+    rows, lhs, rhs, holds = expander_rule(ring.q, ring.r, spec.deg_T, *sizes, image)
+    if image is not None:
+        sets["image_size"] = str(image)
+    return CheckReport.conclude("T1_3", ring, rows, sets, seed, lhs, rhs, holds)
 
 
 def check_sum_square(A: RSet, seed: int | None = None) -> CheckReport:

@@ -12,6 +12,16 @@ An experiment is a pure function of its config.  Determinism rules:
   (workers only split contiguous ranges, set via the FVRLAB_WORKERS
   environment variable).
 
+A range of inputs is walked in blocks of BLOCK_ELEMS // order inputs.  A
+random mode draws the sets of a whole block at once: sample_subsets runs
+the generator on every trial and slot seed of the block together, each row
+equal to the scalar draw, and each slot becomes one (rows, order)
+membership mask.  A theorem with a block path (T1_3) takes the masks
+whole; its exhaustive mode looks them up in a rank-order table of every
+subset.  One kernel then sizes the image of every row, and each report
+comes from the same size rule as check_expander.  Every other theorem gets
+one RSet per slot and input through _run_input.
+
 What a sweep needs to know about each theorem id (its set slots, whether
 random sets are units only, the config keys it reads, and the check calls)
 is listed once, in THEOREMS; _refuse_unread refuses, in ExperimentConfig
@@ -24,6 +34,7 @@ exceed 10**7.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -41,6 +52,7 @@ from .checks import (
     check_power_energy,
     check_prod_diff,
     check_sum_square,
+    expander_reports,
 )
 from .geometry import geometry_bound_report, line_count_report
 from .incidence import WeightedFamily, incidence_bound_report, weighted_bound_report
@@ -48,14 +60,14 @@ from .report import VERDICTS, CheckReport
 from .ring import Ring, parse_ring_spec
 from .sampling import (
     mix64,
+    mix64_arr,
     sample_planes,
     sample_points,
-    sample_subset,
-    sample_unit_subset,
+    sample_subsets,
     sample_weights,
     shuffled,
 )
-from .setalg import RSet, parse_quadpoly, parse_set_literal
+from .setalg import BLOCK_ELEMS, RSet, member_masks, parse_quadpoly, parse_set_literal
 
 EXHAUSTIVE_BUDGET = 10**7
 
@@ -187,6 +199,21 @@ def exhaustive_budget(n: int, max_size: int, slots: int) -> int:
     return subsets_up_to(n, max_size) ** slots
 
 
+@lru_cache(maxsize=8)
+def _subset_masks(n: int, max_size: int) -> np.ndarray:
+    """Membership masks of every subset of size <= max_size, in rank order.
+
+    Only block theorems read it, and they have three slots, so the budget
+    keeps it below 215 rows of at most 215 elements.
+    """
+    masks = np.zeros((subsets_up_to(n, max_size), n), dtype=bool)
+    combos = (c for k in range(1, max_size + 1) for c in itertools.combinations(range(n), k))
+    for row, combo in enumerate(combos):
+        masks[row, combo] = True
+    masks.flags.writeable = False
+    return masks
+
+
 # ---------------------------------------------------------------------------
 # theorem registry and input construction
 
@@ -215,11 +242,18 @@ def _family_pair(config: ExperimentConfig, ring: Ring, index: int):
     return (points, planes), seed
 
 
-def _expander(config: ExperimentConfig, ring: Ring, sets, seed):
+def _expander_spec(config: ExperimentConfig):
     if config.f is None:
         raise ValueError("T1_3 needs a polynomial (f)")
-    spec = _quadspec_of(config.ring_spec, config.f)
-    return [check_expander(spec, *sets, seed=seed)]
+    return _quadspec_of(config.ring_spec, config.f)
+
+
+def _expander(config: ExperimentConfig, ring: Ring, sets, seed):
+    return [check_expander(_expander_spec(config), *sets, seed=seed)]
+
+
+def _expander_block(config: ExperimentConfig, ring: Ring, masks, seeds):
+    return expander_reports(_expander_spec(config), *masks, seeds)
 
 
 def _shifted_image(config: ExperimentConfig, ring: Ring, sets, seed):
@@ -251,12 +285,15 @@ class Theorem:
     run: Callable  # (config, ring, sets or (points, planes), seed) -> reports
     units_only: bool = False  # random sets are drawn from the units
     reads: tuple[str, ...] = ()  # config keys read beyond _COMMON_KEYS and the set slots
+    # (config, ring, one (rows, order) mask per slot, seeds) -> reports of a
+    # block of mode inputs; without it each input goes through run
+    block: Callable | None = None
 
 
 # The entries look the checks up by name at call time, so a wrapper put on
 # a module attribute (a tracer, a test double) sees every call.
 THEOREMS = {
-    "T1_3": Theorem(3, _expander, reads=("f",)),
+    "T1_3": Theorem(3, _expander, reads=("f",), block=_expander_block),
     "T1_5": Theorem(1, lambda config, ring, sets, seed: [check_sum_square(sets[0], seed=seed)]),
     "T1_6": Theorem(1, lambda config, ring, sets, seed: [check_cube_sum(sets[0], seed=seed)]),
     "T1_7": Theorem(1, _shifted_image, reads=("poly1",)),
@@ -287,7 +324,8 @@ THEOREMS = {
 }
 
 
-def _run_input(config: ExperimentConfig, ring: Ring, index: int) -> list[CheckReport]:
+def _run_input(config: ExperimentConfig, ring: Ring, index: int, sets=None) -> list[CheckReport]:
+    """The reports of one input; a random mode's sets come drawn by _run_range."""
     theorem = THEOREMS[config.theorem]
     if theorem.slots == 0:
         return theorem.run(config, ring, *_family_pair(config, ring, index))
@@ -300,21 +338,35 @@ def _run_input(config: ExperimentConfig, ring: Ring, index: int) -> list[CheckRe
                 raise ValueError(f"{config.theorem} needs an explicit set {name} (or a mode)")
             sets.append(parse_set_literal(ring, lit))
     elif config.mode.kind == "exhaustive":
-        span = subsets_up_to(ring.order, config.mode.max_size)
-        ranks = []
-        rest = index
-        for _ in range(theorem.slots):
-            rest, rank = divmod(rest, span)
-            ranks.append(rank)
-        ranks.reverse()  # first slot varies slowest
-        sets = [subset_by_rank(ring, config.mode.max_size, rk) for rk in ranks]
+        sets = [
+            subset_by_rank(ring, config.mode.max_size, rank)
+            for rank in _slot_ranks(ring, config.mode.max_size, theorem.slots, index)
+        ]
     else:
         seed = mix64(config.seed, index)
-        draw = sample_unit_subset if theorem.units_only else sample_subset
-        sets = [
-            draw(ring, size, mix64(seed, slot)) for slot, size in enumerate(config.mode.sizes)
-        ]
     return theorem.run(config, ring, sets, seed)
+
+
+def _slot_ranks(ring: Ring, max_size: int, slots: int, index):
+    """Subset rank of each slot at an exhaustive position (or array of them)."""
+    span = subsets_up_to(ring.order, max_size)
+    ranks = []
+    for _ in range(slots):
+        index, rank = divmod(index, span)
+        ranks.append(rank)
+    return ranks[::-1]  # first slot varies slowest
+
+
+def _random_masks(config: ExperimentConfig, ring: Ring, seeds: np.ndarray) -> list[np.ndarray]:
+    """One (rows, order) mask per slot: the sets of the trials with these seeds."""
+    if THEOREMS[config.theorem].units_only:
+        domain = np.array(ring.units(), dtype=np.int64)
+    else:
+        domain = np.arange(ring.order, dtype=np.int64)
+    return [
+        member_masks(ring.order, domain[sample_subsets(len(domain), size, mix64_arr(seeds, slot))])
+        for slot, size in enumerate(config.mode.sizes)
+    ]
 
 
 def input_count(config: ExperimentConfig, ring: Ring) -> int:
@@ -337,15 +389,55 @@ def input_count(config: ExperimentConfig, ring: Ring) -> int:
         raise ValueError(f"{config.theorem} needs two sizes (points, planes)")
     if slots and len(config.mode.sizes) != slots:
         raise ValueError(f"{config.theorem} needs {slots} size(s) in random mode")
+    for size in config.mode.sizes:
+        if slots == 0 and size > ring.order**3:
+            raise ValueError(f"cannot draw {size} distinct values from {ring.order**3}")
+        if THEOREMS[config.theorem].units_only and size > ring.units_count:
+            raise ValueError(f"unit subset size {size} out of range [1, {ring.units_count}]")
+        if slots and size > ring.order:
+            raise ValueError(f"subset size {size} out of range [1, {ring.order}]")
     return config.mode.trials
 
 
 def _run_range(config: ExperimentConfig, lo: int, hi: int) -> list[CheckReport]:
+    """Reports of inputs lo..hi-1, walked in blocks of BLOCK_ELEMS // order inputs."""
     ring = _ring_of(config.ring_spec)
+    theorem = THEOREMS[config.theorem]
     out = []
-    for index in range(lo, hi):
-        out.extend(_run_input(config, ring, index))
+    step = max(1, BLOCK_ELEMS // ring.order)
+    for start in range(lo, hi, step):
+        indices = range(start, min(hi, start + step))
+        drawn = _block_sets(config, ring, indices)
+        if drawn is None:
+            for index in indices:
+                out.extend(_run_input(config, ring, index))
+        elif theorem.block:
+            out.extend(theorem.block(config, ring, *drawn))
+        else:
+            masks, _ = drawn
+            for row, index in enumerate(indices):
+                out.extend(_run_input(config, ring, index, [RSet(ring, M[row]) for M in masks]))
     return out
+
+
+def _block_sets(config: ExperimentConfig, ring: Ring, indices: range):
+    """(one (rows, order) mask per slot, seeds) of a block of mode inputs.
+
+    None where each input builds its own sets: single checks, point and
+    plane families, and exhaustive sweeps of theorems without a block path.
+    """
+    theorem, mode = THEOREMS[config.theorem], config.mode
+    if mode is None or theorem.slots == 0:
+        return None
+    positions = np.arange(indices.start, indices.stop)
+    if mode.kind == "random":
+        seeds = mix64_arr(config.seed, positions)
+        return _random_masks(config, ring, seeds), seeds.tolist()
+    if theorem.block is None:
+        return None
+    table = _subset_masks(ring.order, mode.max_size)
+    ranks = _slot_ranks(ring, mode.max_size, theorem.slots, positions)
+    return [table[rank] for rank in ranks], [None] * len(positions)
 
 
 def _run_range_star(args):

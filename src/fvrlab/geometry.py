@@ -38,7 +38,7 @@ import numpy as np
 
 from .report import BoundRow, CheckReport
 from .ring import Ring
-from .setalg import RSet
+from .setalg import BLOCK_ELEMS, RSet
 
 Point2 = tuple[int, int]
 
@@ -98,19 +98,25 @@ def count_collinear_triples(A: RSet) -> int:
 
 
 def count_collinear_triples_weak(A: RSet) -> int:
-    """Ordered grid triples passing the cross-product test; >= the strict count."""
+    """Ordered grid triples passing the cross-product test; >= the strict count.
+
+    (P1, P2, P3) passes when dx1 * dy3 = dy1 * dx3 for d = P - P2.  The
+    (P1, P3) products of a base point P2 form a matrix whose transpose holds
+    the other side, so one product per pair suffices; base points run in
+    blocks of at most BLOCK_ELEMS products.
+    """
     if len(A) == 0:
         raise ValueError("grid needs a nonempty A")
     ring = A.ring
     gx, gy = _grid(A)
     m = len(gx)
     total = 0
-    for i in range(m):
-        dx = ring.sub_arr(gx, np.int64(gx[i]))
-        dy = ring.sub_arr(gy, np.int64(gy[i]))
-        lhs = ring.mul_arr(dx[:, None], dy[None, :])
-        rhs = ring.mul_arr(dy[:, None], dx[None, :])
-        total += int((lhs == rhs).sum())
+    step = max(1, BLOCK_ELEMS // (m * m))
+    for lo in range(0, m, step):
+        dx = ring.sub_arr(gx, gx[lo : lo + step, None])
+        dy = ring.sub_arr(gy, gy[lo : lo + step, None])
+        cross = ring.mul_arr(dx[:, :, None], dy[:, None, :])
+        total += int(np.count_nonzero(cross == cross.transpose(0, 2, 1)))
     return total
 
 

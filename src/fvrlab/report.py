@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 PASS = "pass"
 FAIL = "fail"
 HYPOTHESIS_NOT_MET = "hypothesis_not_met"
@@ -52,6 +54,11 @@ class BoundRow:
     rhs: int
 
 
+def gates_hold(rows) -> bool:
+    """True when every ``gate_*`` row holds: the theorem's hypotheses are met."""
+    return all(h.ok for h in rows if h.name.startswith("gate_"))
+
+
 @dataclass
 class CheckReport:
     theorem: str
@@ -72,7 +79,7 @@ class CheckReport:
 
     @property
     def gates_ok(self) -> bool:
-        return all(h.ok for h in self.hypotheses if h.name.startswith("gate_"))
+        return gates_hold(self.hypotheses)
 
     @classmethod
     def conclude(cls, theorem, ring, rows, sets, seed, lhs=0, rhs=0, holds=None) -> "CheckReport":
@@ -147,9 +154,22 @@ def sha256_prefix(data: bytes) -> str:
 
 def set_literal_or_digest(rset) -> str:
     """Member literal, or size plus a content hash for very large sets."""
-    if len(rset) <= LITERAL_CAP:
-        return rset.literal
-    return f"size={len(rset)};sha256={sha256_prefix(rset.mask.tobytes())}"
+    return literals_or_digests(rset.mask[None, :])[0]
+
+
+def literals_or_digests(masks: np.ndarray) -> list[str]:
+    """set_literal_or_digest of every row of a (rows, order) bool membership mask."""
+    rows, members = np.nonzero(masks)
+    ends = np.cumsum(np.bincount(rows, minlength=len(masks))).tolist()
+    members = members.tolist()
+    out, lo = [], 0
+    for row, hi in enumerate(ends):
+        if hi - lo <= LITERAL_CAP:
+            out.append(",".join(map(str, members[lo:hi])))
+        else:
+            out.append(f"size={hi - lo};sha256={sha256_prefix(masks[row].tobytes())}")
+        lo = hi
+    return out
 
 
 def write_jsonl(reports, path: str) -> None:

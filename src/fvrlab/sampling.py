@@ -6,6 +6,12 @@ of the state.  Bounded draws use rejection below the largest multiple of the
 bound, so they are exactly uniform.  Subsets are drawn by a sparse partial
 Fisher-Yates shuffle, so a draw costs O(size) regardless of the ring order.
 
+sample_subsets draws a whole block of subsets at once: the same generator
+runs on uint64 arrays, one state per row (numpy's uint64 arithmetic wraps
+mod 2**64, as the generator's does), and the partial Fisher-Yates works on
+a dense (rows, domain) permutation.  Each row equals sample_distinct of its
+seed; sample_distinct stays the sparse path for domains of n**3 triples.
+
 Per-trial seeds are derived as mix64(master_seed, trial_index); the same
 (master_seed, trial_index, ring, size) always yields the same subset, on
 every platform, because only fixed-width integer arithmetic is involved.
@@ -16,10 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from .ring import Ring
-from .setalg import RSet
+from .setalg import BLOCK_ELEMS, RSet
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_U64 = np.uint64
 
 
 def _finalize(x: int) -> int:
@@ -32,6 +39,19 @@ def _finalize(x: int) -> int:
 def mix64(master_seed: int, trial_index: int) -> int:
     """The per-trial seed for a master seed: stable, collision-resistant."""
     return _finalize((master_seed + _GAMMA * (trial_index + 1)) & _MASK)
+
+
+def _finalize_arr(x: np.ndarray) -> np.ndarray:
+    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return x ^ (x >> _U64(31))
+
+
+def mix64_arr(master_seeds, trial_indices) -> np.ndarray:
+    """mix64 elementwise over broadcast uint64 arrays of seeds and indices."""
+    seeds = np.atleast_1d(np.asarray(master_seeds, dtype=_U64))
+    steps = np.atleast_1d(np.asarray(trial_indices, dtype=_U64)) + _U64(1)
+    return _finalize_arr(seeds + _U64(_GAMMA) * steps)
 
 
 class SplitMix64:
@@ -66,6 +86,54 @@ def sample_distinct(domain: int, count: int, seed: int) -> list[int]:
         j = i + gen.bounded(domain - i)
         out.append(perm.get(j, j))
         perm[j] = perm.get(i, i)
+    return out
+
+
+def bounded_arr(states: np.ndarray, m: int) -> np.ndarray:
+    """One SplitMix64.bounded(m) draw per uint64 state, advancing states in place.
+
+    A rejected draw redraws in its own row only, so every row follows the
+    scalar generator exactly.
+    """
+    if m < 1:
+        raise ValueError("bound must be >= 1")
+    states += _U64(_GAMMA)
+    v = _finalize_arr(states)
+    rest = (1 << 64) % m
+    if rest:
+        limit = _U64((1 << 64) - rest)
+        redo = np.flatnonzero(v >= limit)
+        while len(redo):
+            states[redo] += _U64(_GAMMA)
+            v[redo] = _finalize_arr(states[redo])
+            redo = redo[v[redo] >= limit]
+    return v % _U64(m)
+
+
+def sample_subsets(domain: int, count: int, seeds) -> np.ndarray:
+    """sample_distinct(domain, count, seed) for every seed, shape (len(seeds), count).
+
+    The dense permutation holds at most BLOCK_ELEMS elements at a time; a
+    domain larger than that takes the sparse path row by row.
+    """
+    if not 1 <= count <= domain:
+        raise ValueError(f"cannot draw {count} distinct values from {domain}")
+    seeds = np.asarray(seeds, dtype=_U64)
+    out = np.empty((len(seeds), count), dtype=np.int64)
+    if domain > BLOCK_ELEMS:
+        for row, seed in enumerate(seeds.tolist()):
+            out[row] = sample_distinct(domain, count, seed)
+        return out
+    step = BLOCK_ELEMS // domain
+    for lo in range(0, len(seeds), step):
+        states = seeds[lo : lo + step].copy()
+        block = out[lo : lo + step]
+        rows = np.arange(len(states))
+        perm = np.tile(np.arange(domain, dtype=np.int64), (len(states), 1))
+        for i in range(count):
+            j = i + bounded_arr(states, domain - i).astype(np.int64)
+            block[:, i] = perm[rows, j]
+            perm[rows, j] = perm[:, i]
     return out
 
 

@@ -14,11 +14,15 @@ each coefficient is a canonical index and c2 is the leading coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .ring import Ring
+
+# elements in any one temporary of a block computation (a block of sweep
+# inputs, a block of grid points), so a block never moves peak memory
+BLOCK_ELEMS = 1 << 16
 
 SUM = "sum"
 PRODUCT = "product"
@@ -211,7 +215,7 @@ class QuadPolySpec:
     def deg_T(self) -> int:
         return 2 if self.T[0] != 0 else (1 if self.T[1] != 0 else 0)
 
-    @property
+    @cached_property
     def literal(self) -> str:
         def tr(t):
             return ",".join(str(c) for c in t)
@@ -263,18 +267,70 @@ def image_quad3(spec: QuadPolySpec, A: RSet, B: RSet, C: RSet) -> RSet:
         raise ValueError("sets live in a different ring than the polynomial")
     if not (len(A) and len(B) and len(C)):
         raise ValueError("image needs nonempty A, B, C")
-    rt = _poly_table(ring, spec.R)
-    st = _poly_table(ring, spec.S)
-    tt = _poly_table(ring, spec.T)
-    x = A.members[:, None]
-    y = B.members[None, :]
-    two_var = ring.add_arr(
-        ring.mul_arr(np.int64(spec.a), ring.mul_arr(x, y)),
-        ring.add_arr(rt[x], st[y]),
-    )
-    u = np.unique(np.asarray(two_var, dtype=np.int64))
-    v = np.unique(tt[C.members])
+    u = np.unique(_two_var(spec, A.members[:, None], B.members[None, :]))
+    v = np.unique(_poly_table(ring, spec.T)[C.members])
     return _scatter(ring, ring.add_arr(u[:, None], v[None, :]))
+
+
+def _two_var(spec: QuadPolySpec, x, y) -> np.ndarray:
+    """a*x*y + R(x) + S(y), elementwise over broadcast index arrays."""
+    ring = spec.ring
+    rt, st = _poly_table(ring, spec.R), _poly_table(ring, spec.S)
+    return ring.add_arr(
+        ring.mul_arr(np.int64(spec.a), ring.mul_arr(x, y)), ring.add_arr(rt[x], st[y])
+    )
+
+
+def member_masks(order: int, members: np.ndarray) -> np.ndarray:
+    """(rows, order) bool membership masks of the rows of a member array."""
+    masks = np.zeros((len(members), order), dtype=bool)
+    masks[np.arange(len(members))[:, None], members] = True
+    return masks
+
+
+def _row_pairs(X: np.ndarray, Y: np.ndarray, op) -> np.ndarray:
+    """Mask of {op(x, y) : x in X_i, y in Y_i} for every row i of two masks.
+
+    The pairs of all rows are laid end to end, each row's x-major, and
+    evaluated BLOCK_ELEMS at a time.
+    """
+    out = np.zeros(X.shape, dtype=bool)
+    x_rows, xs = np.nonzero(X)
+    y_count = Y.sum(axis=1)
+    y_start = np.cumsum(y_count) - y_count
+    ys = np.nonzero(Y)[1]
+    per_x = y_count[x_rows]
+    ends = np.cumsum(per_x)
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, BLOCK_ELEMS):
+        pair = np.arange(lo, min(total, lo + BLOCK_ELEMS))
+        x = np.searchsorted(ends, pair, side="right")
+        row = x_rows[x]
+        y = y_start[row] + pair - (ends[x] - per_x[x])
+        out[row, op(xs[x], ys[y])] = True
+    return out
+
+
+def image_quad3_sizes(spec: QuadPolySpec, A: np.ndarray, B: np.ndarray, C: np.ndarray):
+    """|image_quad3(spec, A_i, B_i, C_i)| for every row i of (rows, order) masks.
+
+    Like image_quad3, each stage is deduplicated through a mask before the
+    next product: the two-variable values of A_i x B_i, then their sums
+    with T(C_i).  Rows run BLOCK_ELEMS // order at a time.
+    """
+    ring = spec.ring
+    n = ring.order
+    tt = _poly_table(ring, spec.T)
+    sizes = np.empty(len(A), dtype=np.int64)
+    step = max(1, BLOCK_ELEMS // n)
+    for lo in range(0, len(A), step):
+        block = slice(lo, lo + step)
+        two_var = _row_pairs(A[block], B[block], lambda x, y: _two_var(spec, x, y))
+        rows, zs = np.nonzero(C[block])
+        t_of_c = np.zeros(two_var.shape, dtype=bool)
+        t_of_c[rows, tt[zs]] = True
+        sizes[block] = _row_pairs(two_var, t_of_c, ring.add_arr).sum(axis=1)
+    return sizes
 
 
 def image_shifted_quad(

@@ -138,6 +138,25 @@ def is_collinear_weak(ring, p1, p2, p3):
     return ring.mul(ex, dy) == ring.mul(ey, dx)
 
 
+def point_loop_weak_triples(A):
+    """Weak triple count with two (m, m) products per base grid point.
+
+    The per-point loop ``count_collinear_triples_weak`` replaced; the
+    reference for grids too large for the scalar triple loop.
+    """
+    ring = A.ring
+    gx = np.repeat(A.members, len(A))
+    gy = np.tile(A.members, len(A))
+    total = 0
+    for i in range(len(gx)):
+        dx = ring.sub_arr(gx, np.int64(gx[i]))
+        dy = ring.sub_arr(gy, np.int64(gy[i]))
+        lhs = ring.mul_arr(dx[:, None], dy[None, :])
+        rhs = ring.mul_arr(dy[:, None], dx[None, :])
+        total += int((lhs == rhs).sum())
+    return total
+
+
 def brute_collinear_triples(ring, grid_points):
     pts = list(grid_points)
     return sum(

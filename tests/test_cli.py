@@ -207,6 +207,31 @@ def test_seed_must_fit_64_bits(capsys):
     assert code == 0 and summary["seed"] == 2**64 - 1 and summary["inputs"] == 2
 
 
+def test_random_sizes_past_the_domain_are_refused_up_front(monkeypatch, capsys):
+    # these once failed inside the first draw, in a pool worker with FVRLAB_WORKERS
+    def no_draw(*args):
+        raise AssertionError("a draw or a pool started before the size was refused")
+
+    for name in ("_run_input", "sample_subsets", "ProcessPoolExecutor"):
+        monkeypatch.setattr(experiments, name, no_draw)
+    monkeypatch.setenv("FVRLAB_WORKERS", "2")
+    cases = [
+        (["check", "T1_5", "--ring", "zpr:p=3,r=2", "--mode", "random:10:2"],
+         "subset size 10 out of range [1, 9]"),
+        (["check", "T1_3", "--ring", "zpr:p=3,r=2", "--f", "a=1;R=0,0,0;S=0,0,0;T=0,1,0",
+          "--mode", "random:3,10,3:5"], "subset size 10 out of range [1, 9]"),
+        (["check", "T1_9", "--ring", "zpr:p=3,r=2", "--d", "2", "--mode", "random:7:2"],
+         "unit subset size 7 out of range [1, 6]"),
+        (["check", "T2_2", "--ring", "zpr:p=3,r=1", "--mode", "random:28,2:2"],
+         "cannot draw 28 distinct values from 27"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and message in err, argv
+    with pytest.raises(AssertionError, match="before the size"):  # sizes that fit do draw
+        main(["check", "T1_9", "--ring", "zpr:p=3,r=2", "--d", "2", "--mode", "random:6:1"])
+
+
 def test_check_family_exhaustive_rejected(capsys):
     code, _, err = run_cli(
         capsys, "check", "T2_2", "--ring", "zpr:p=3,r=1", "--mode", "exhaustive:2"

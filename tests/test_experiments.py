@@ -6,6 +6,7 @@ import math
 import pytest
 
 from fvrlab import experiments
+from fvrlab.checks import check_expander
 from fvrlab.experiments import (
     EXHAUSTIVE_BUDGET,
     ExperimentConfig,
@@ -21,6 +22,8 @@ from fvrlab.experiments import (
     unrank_combination,
 )
 from fvrlab.ring import parse_ring_spec
+from fvrlab.sampling import mix64, sample_subset
+from fvrlab.setalg import parse_quadpoly
 
 Z9 = "zpr:p=3,r=2"
 
@@ -113,6 +116,73 @@ def test_worker_count_does_not_change_output(monkeypatch):
     config = ExperimentConfig(theorem="T1_6", ring_spec=Z9, mode=parse_mode("random:4:10"), seed=3)
     serial, summary_serial = run_experiment(config)
     monkeypatch.setenv("FVRLAB_WORKERS", "3")
+    pooled, summary_pooled = run_experiment(config)
+    assert [r.to_json_line() for r in serial] == [r.to_json_line() for r in pooled]
+    assert summary_serial == summary_pooled
+
+
+LINEAR_T = "a=1;R=0,0,0;S=0,0,0;T=0,1,0"
+QUAD_T = "a=2;R=1,0,3;S=0,5,0;T=1,2,0"
+
+
+def scalar_expander(config, index):
+    """The T1_3 report of one sweep input, drawn and checked one set at a time."""
+    ring = parse_ring_spec(config.ring_spec)
+    spec = parse_quadpoly(ring, config.f)
+    if config.mode.kind == "random":
+        seed = mix64(config.seed, index)
+        sizes = config.mode.sizes
+        sets = [sample_subset(ring, k, mix64(seed, slot)) for slot, k in enumerate(sizes)]
+        return check_expander(spec, *sets, seed=seed)
+    span = subsets_up_to(ring.order, config.mode.max_size)
+    ranks = [index // span**2, index // span % span, index % span]
+    sets = [subset_by_rank(ring, config.mode.max_size, rank) for rank in ranks]
+    return check_expander(spec, *sets)
+
+
+@pytest.mark.parametrize(
+    "spec, f, mode, block",
+    [
+        ("zpr:p=3,r=2", LINEAR_T, "random:3,3,3:40", 7281),
+        ("fqxr:p=3,s=2,r=2", LINEAR_T, "random:2,2,2:900", 809),
+        ("fqxr:p=3,s=3,r=2", QUAD_T, "random:4,3,54:200", 89),  # gate_c_size holds
+        ("fqxr:p=3,s=3,r=2", QUAD_T, "random:4,3,53:100", 89),  # and fails
+        ("zpr:p=3,r=1", LINEAR_T, "exhaustive:2", 21845),
+        ("zpr:p=7,r=1", QUAD_T.replace("T=1,2,0", "T=3,2,0"), "exhaustive:2", 9362),
+        ("fqxr:p=3,s=1,r=2", QUAD_T, "exhaustive:1", 7281),
+    ],
+)
+def test_block_expander_reports_equal_check_expander(spec, f, mode, block):
+    # blocks hold BLOCK_ELEMS // order inputs; rows at every block edge are compared
+    assert experiments.BLOCK_ELEMS // parse_ring_spec(spec).order == block
+    config = ExperimentConfig(theorem="T1_3", ring_spec=spec, f=f, mode=parse_mode(mode), seed=5)
+    reports, summary = run_experiment(config)
+    total = len(reports)
+    edges = {i for edge in range(0, total, block) for i in range(edge - 2, edge + 2)}
+    for i in sorted(edges | set(range(0, total, max(1, total // 150)))):
+        if 0 <= i < total:
+            assert reports[i].to_json_line() == scalar_expander(config, i).to_json_line(), i
+    assert summary["verdicts"]["fail"] == 0
+
+
+def test_block_expander_digests_sets_past_the_literal_cap():
+    config = ExperimentConfig(
+        theorem="T1_3", ring_spec="zpr:p=3,r=8", f=LINEAR_T,
+        mode=parse_mode("random:4097,1,1:2"), seed=9,
+    )
+    reports, _ = run_experiment(config)
+    for i, rep in enumerate(reports):
+        assert rep.sets["A"].startswith("size=4097;sha256=")
+        assert rep.to_json_line() == scalar_expander(config, i).to_json_line()
+
+
+def test_block_expander_bytes_do_not_depend_on_workers(monkeypatch):
+    config = ExperimentConfig(
+        theorem="T1_3", ring_spec="fqxr:p=3,s=3,r=2", f=QUAD_T,
+        mode=parse_mode("random:3,2,60:300"), seed=13,
+    )
+    serial, summary_serial = run_experiment(config)
+    monkeypatch.setenv("FVRLAB_WORKERS", "2")
     pooled, summary_pooled = run_experiment(config)
     assert [r.to_json_line() for r in serial] == [r.to_json_line() for r in pooled]
     assert summary_serial == summary_pooled

@@ -28,6 +28,7 @@ from oracles import (
     hit_collinear_triples,
     is_collinear_weak,
     orbit_lines,
+    point_loop_weak_triples,
 )
 
 
@@ -201,7 +202,7 @@ def test_bound_report_makes_one_orbit_pass(z9, monkeypatch):
     assert calls == ["_grid"]
 
 
-def test_weak_count_dominates(z9, f9):
+def test_weak_count_dominates(z9, f9, f3x2):
     for ring, size in [(z9, 4), (f9, 3)]:
         A = sample_subset(ring, size, mix64(72, ring.order))
         strict = count_collinear_triples(A)
@@ -214,6 +215,12 @@ def test_weak_count_dominates(z9, f9):
             if is_collinear_weak(ring, p1, p2, p3)
         )
         assert weak == want
+    # |A| = 8: 64 grid points, 16 base points per block of BLOCK_ELEMS products
+    assert geometry.BLOCK_ELEMS // 64**2 == 16
+    for ring in (z9, f3x2):
+        A = sample_subset(ring, 8, mix64(72, 8))
+        assert count_collinear_triples(A) <= count_collinear_triples_weak(A)
+        assert count_collinear_triples_weak(A) == point_loop_weak_triples(A)
 
 
 def test_invariance_under_affine_maps(z9):

@@ -11,7 +11,9 @@ from fvrlab.setalg import (
     dilate,
     energy,
     image_quad3,
+    image_quad3_sizes,
     image_shifted_quad,
+    member_masks,
     parse_quadpoly,
     parse_set_literal,
     power_set,
@@ -22,7 +24,7 @@ from fvrlab.setalg import (
 )
 from oracles import brute_energy, brute_image_quad3, brute_image_shifted_quad
 
-from fvrlab.sampling import sample_subset
+from fvrlab.sampling import mix64, sample_subset
 
 
 def rs(ring, *indices):
@@ -184,6 +186,31 @@ def test_image_quad3_matches_triple_loop(all_rings):
             C = sample_subset(ring, min(4, ring.order), 3 * sd + 2)
             img = image_quad3(spec, A, B, C)
             assert set(img.indices()) == brute_image_quad3(spec, A, B, C)
+
+
+def test_image_quad3_sizes_match_triple_loop(all_rings):
+    # one kernel call sizes the image of every row, sets of mixed sizes included
+    for ring in all_rings:
+        z = ring.uniformizer()
+        specs = [
+            QuadPolySpec(ring, 1, (0, 0, 0), (0, 0, 0), (0, 1, 0)),
+            QuadPolySpec(ring, 2, (1, 0, 2), (0, 1, 0), (1, 1, 1)),
+            QuadPolySpec(ring, z or 1, (1, 2, 0), (2, 0, 1), (0, 1, 2)),
+        ]
+        for sd, spec in enumerate(specs):
+            triples = [
+                [sample_subset(ring, 1 + (row + k) % min(5, ring.order), mix64(sd, 3 * row + k))
+                 for k in range(3)]
+                for row in range(12)
+            ]
+            masks = [np.array([t[k].mask for t in triples]) for k in range(3)]
+            sizes = image_quad3_sizes(spec, *masks)
+            assert sizes.tolist() == [len(brute_image_quad3(spec, *t)) for t in triples]
+
+
+def test_member_masks(z9):
+    masks = member_masks(9, np.array([[0, 3, 3], [8, 1, 2]]))
+    assert [RSet(z9, m).indices() for m in masks] == [[0, 3], [1, 2, 8]]
 
 
 def test_image_shifted_quad_frozen(z9):
