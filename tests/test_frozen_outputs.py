@@ -59,6 +59,21 @@ CASES = {
         "523da9963ef7d112ec73317f69930135c22b7124bd702e627217c35d150d201c",
         "f31c1c1e8e225786487002287d7de913f70915e165770cfcefe7f46e875f16ea",
     ),
+    # 13 blocks of 7281 rows; ties at the minimum ratio pin argmin_sets
+    "T1_3-exhaustive-2-z9": (
+        ["check", "T1_3", "--ring", "zpr:p=3,r=2", "--f", F3, "--mode", "exhaustive:2",
+         "--out", "z9.jsonl"],
+        None, "z9.jsonl", 0,
+        "fbf50d98a4d83c09144a28f4782146537918b50bace78d3b1ef8fb19099a941c",
+        "4ed7be4c871654244a18be4721d4a9c512617aaa53a20d5078b3bef482fa78b1",
+    ),
+    "T1_3-random-csv": (
+        ["check", "T1_3", "--ring", "fqxr:p=3,s=2,r=2", "--f", F9_QUAD,
+         "--mode", "random:2,3,18:40", "--seed", "8", "--out", "t.csv", "--format", "csv"],
+        None, "t.csv", 0,
+        "a821a7c963a9bde2ad7481ab98489078a7dce349fa75bd0cb1d94370450756c8",
+        "1c3d7265ea1d57242707929b810a5645e87516c01b6608d0ae92f409b36a6b70",
+    ),
     "T1_5-exhaustive": (
         ["check", "T1_5", "--ring", "zpr:p=3,r=2", "--mode", "exhaustive:1"],
         None, None, 0,
