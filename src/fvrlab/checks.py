@@ -11,7 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .report import BoundRow, CheckReport, gates_hold, literals_or_digests, set_literal_or_digest
+from .report import (
+    BoundColumn,
+    BoundRow,
+    CheckReport,
+    ReportBlock,
+    gates_hold,
+    literals_or_digests,
+    set_literal_or_digest,
+)
 from .setalg import (
     QuadPolySpec,
     RSet,
@@ -46,23 +54,25 @@ def iroot3_ceil(n: int) -> int:
     return c
 
 
-def expander_rule(q: int, r: int, deg_T: int, na: int, nb: int, nc: int, image: int | None):
-    """T1_3 on sizes alone: (rows, lhs, rhs, holds) for CheckReport.conclude.
+def expander_rule(q: int, r: int, deg_T: int, na, nb, nc, image=None):
+    """T1_3 on columns of sizes: (gate columns, lhs, rhs, holds) for a report.
 
     A degree-two T requires |C| >= 2 * q**(r-1) (gate_c_size).  Cleared
-    claim: 8 * q**(2r-1) * |image| >= min(q**(3r-1), |A||B||C|).  The image
-    size is read only once the gates hold; with image None the rule gives
-    the gate rows alone, so a caller sizes the image only when they hold.
+    claim: 8 * q**(2r-1) * |image| >= min(q**(3r-1), |A||B||C|).  Row i of
+    every column is the rule on (na[i], nb[i], nc[i], image[i]).  With image
+    None the rule gives the gate columns alone, so a caller sizes the image
+    only of rows whose gates hold; an unsized row's image entry is ignored.
     """
-    rows = []
+    gates = []
     if deg_T == 2:
         need = 2 * q ** (r - 1)
-        rows.append(BoundRow("gate_c_size", nc >= need, nc, need))
-    if image is None or not gates_hold(rows):
-        return rows, 0, 0, None
-    lhs = 8 * q ** (2 * r - 1) * image
-    rhs = min(q ** (3 * r - 1), na * nb * nc)
-    return rows, lhs, rhs, lhs >= rhs
+        gates.append(BoundColumn("gate_c_size", [c >= need for c in nc], nc, [need] * len(nc)))
+    if image is None:
+        return gates, None, None, None
+    scale, cap = 8 * q ** (2 * r - 1), q ** (3 * r - 1)
+    lhs = [scale * m for m in image]
+    rhs = [min(cap, a * b * c) for a, b, c in zip(na, nb, nc)]
+    return gates, lhs, rhs, [x >= y for x, y in zip(lhs, rhs)]
 
 
 def check_expander(
@@ -73,44 +83,40 @@ def check_expander(
     ring = _same_ring(A, B, C)
     if spec.ring != ring:
         raise ValueError("polynomial and sets live in different rings")
-    sizes = (len(A), len(B), len(C))
-    rows, *_ = expander_rule(ring.q, ring.r, spec.deg_T, *sizes, None)
-    image = len(image_quad3(spec, A, B, C)) if gates_hold(rows) else None
-    literals = [set_literal_or_digest(X) for X in (A, B, C)]
-    return _expander_report(spec, sizes, literals, image, seed)
+    sizes = ([len(A)], [len(B)], [len(C)])
+    gates, *_ = expander_rule(ring.q, ring.r, spec.deg_T, *sizes)
+    rows = [col.row(0) for col in gates]
+    sets = {"f": spec.literal, "A": set_literal_or_digest(A)}
+    sets.update(B=set_literal_or_digest(B), C=set_literal_or_digest(C))
+    if not gates_hold(rows):
+        return CheckReport.conclude("T1_3", ring, rows, sets, seed)
+    image = len(image_quad3(spec, A, B, C))
+    sets["image_size"] = str(image)
+    _, lhs, rhs, holds = expander_rule(ring.q, ring.r, spec.deg_T, *sizes, [image])
+    return CheckReport.conclude("T1_3", ring, rows, sets, seed, lhs[0], rhs[0], holds[0])
 
 
-def expander_reports(spec: QuadPolySpec, A, B, C, seeds) -> list[CheckReport]:
+def expander_reports(spec: QuadPolySpec, A, B, C, seeds) -> ReportBlock:
     """check_expander on every row of (rows, order) bool masks, with one image kernel.
 
-    Row i gives the report of check_expander(spec, A_i, B_i, C_i, seeds[i]);
-    every row must be nonempty.  Only rows whose gates hold are sized.
+    Row i of the block is the report of check_expander(spec, A_i, B_i, C_i,
+    seeds[i]); every row must be nonempty.  Only rows whose gates hold are
+    sized.
     """
     ring = spec.ring
-    sizes = list(zip(*(M.sum(axis=1).tolist() for M in (A, B, C))))
-    gated = np.array(
-        [gates_hold(expander_rule(ring.q, ring.r, spec.deg_T, *abc, None)[0]) for abc in sizes],
-        dtype=bool,
-    )
-    images = np.zeros(len(sizes), dtype=np.int64)
+    sizes = [M.sum(axis=1).tolist() for M in (A, B, C)]
+    gates, *_ = expander_rule(ring.q, ring.r, spec.deg_T, *sizes)
+    gated = np.ones(len(seeds), dtype=bool)
+    for col in gates:
+        gated &= np.array(col.ok, dtype=bool)
+    images = np.zeros(len(seeds), dtype=np.int64)
     images[gated] = image_quad3_sizes(spec, A[gated], B[gated], C[gated])
-    literals = zip(*(literals_or_digests(M) for M in (A, B, C)))
-    return [
-        _expander_report(spec, abc, lits, image if ok else None, seed)
-        for abc, lits, image, ok, seed in zip(
-            sizes, literals, images.tolist(), gated.tolist(), seeds
-        )
-    ]
-
-
-def _expander_report(spec: QuadPolySpec, sizes, literals, image, seed) -> CheckReport:
-    """The T1_3 report of sets with these sizes and literals; image None if unsized."""
-    ring = spec.ring
-    sets = {"f": spec.literal, "A": literals[0], "B": literals[1], "C": literals[2]}
-    rows, lhs, rhs, holds = expander_rule(ring.q, ring.r, spec.deg_T, *sizes, image)
-    if image is not None:
-        sets["image_size"] = str(image)
-    return CheckReport.conclude("T1_3", ring, rows, sets, seed, lhs, rhs, holds)
+    images = images.tolist()
+    gates, lhs, rhs, holds = expander_rule(ring.q, ring.r, spec.deg_T, *sizes, images)
+    sets = {"f": [spec.literal] * len(seeds)}
+    sets.update(zip("ABC", (literals_or_digests(M) for M in (A, B, C))))
+    sets["image_size"] = [str(m) if ok else None for m, ok in zip(images, gated.tolist())]
+    return ReportBlock.conclude("T1_3", ring, gates, sets, seeds, lhs, rhs, holds)
 
 
 def check_sum_square(A: RSet, seed: int | None = None) -> CheckReport:

@@ -32,7 +32,7 @@ from .experiments import (
     summarize,
 )
 from .incidence import incidence_bound_report, load_family, weighted_bound_report
-from .report import write_csv, write_jsonl
+from .report import jsonl_chunks, write_csv, write_jsonl
 from .ring import parse_ring_spec
 
 
@@ -78,10 +78,9 @@ def _emit(reports, summary, out: str | None, fmt: str) -> int:
         else:
             write_jsonl(reports, out)
     else:
-        for rep in reports:
-            print(rep.to_json_line())
+        sys.stdout.writelines(jsonl_chunks(reports))
     print(json.dumps({"summary": summary}, separators=(",", ":")))
-    return 1 if any(rep.verdict == "fail" for rep in reports) else 0
+    return 1 if summary["verdicts"]["fail"] else 0
 
 
 def _config(args, fields: dict[str, str]) -> ExperimentConfig:

@@ -18,9 +18,16 @@ the generator on every trial and slot seed of the block together, each row
 equal to the scalar draw, and each slot becomes one (rows, order)
 membership mask.  A theorem with a block path (T1_3) takes the masks
 whole; its exhaustive mode looks them up in a rank-order table of every
-subset.  One kernel then sizes the image of every row, and each report
-comes from the same size rule as check_expander.  Every other theorem gets
-one RSet per slot and input through _run_input.
+subset.  One kernel then sizes the image of every row, the same size rule
+as check_expander gives every row's sides, and the block's reports stay
+columns: a ReportBlock, which workers pickle as a few lists and --out
+renders from one template.  Every other theorem gets one RSet per slot and
+input through _run_input, and its block is a list of CheckReports.
+
+run_experiment returns the blocks as a ReportList, which builds a
+CheckReport only when one is indexed or iterated.  summarize folds the
+blocks one after another: verdict counts, the exact extremes by integer
+cross-multiplication, and the exact mean from per-denominator sums.
 
 What a sweep needs to know about each theorem id (its set slots, whether
 random sets are units only, the config keys it reads, and the check calls)
@@ -37,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from fractions import Fraction
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -56,7 +64,7 @@ from .checks import (
 )
 from .geometry import geometry_bound_report, line_count_report
 from .incidence import WeightedFamily, incidence_bound_report, weighted_bound_report
-from .report import VERDICTS, CheckReport
+from .report import NOT_MET_CODE, VERDICTS, CheckReport, ReportBlock, ReportList
 from .ring import Ring, parse_ring_spec
 from .sampling import (
     mix64,
@@ -399,25 +407,31 @@ def input_count(config: ExperimentConfig, ring: Ring) -> int:
     return config.mode.trials
 
 
-def _run_range(config: ExperimentConfig, lo: int, hi: int) -> list[CheckReport]:
-    """Reports of inputs lo..hi-1, walked in blocks of BLOCK_ELEMS // order inputs."""
+def _run_range(config: ExperimentConfig, lo: int, hi: int) -> list:
+    """Reports of inputs lo..hi-1, walked in blocks of BLOCK_ELEMS // order inputs.
+
+    One part per block: a ReportBlock from a theorem's block path, else the
+    list of the block's CheckReports.
+    """
     ring = _ring_of(config.ring_spec)
     theorem = THEOREMS[config.theorem]
-    out = []
+    parts = []
     step = max(1, BLOCK_ELEMS // ring.order)
     for start in range(lo, hi, step):
         indices = range(start, min(hi, start + step))
         drawn = _block_sets(config, ring, indices)
         if drawn is None:
-            for index in indices:
-                out.extend(_run_input(config, ring, index))
+            parts.append([rep for index in indices for rep in _run_input(config, ring, index)])
         elif theorem.block:
-            out.extend(theorem.block(config, ring, *drawn))
+            parts.append(theorem.block(config, ring, *drawn))
         else:
             masks, _ = drawn
-            for row, index in enumerate(indices):
-                out.extend(_run_input(config, ring, index, [RSet(ring, M[row]) for M in masks]))
-    return out
+            parts.append([
+                rep
+                for row, index in enumerate(indices)
+                for rep in _run_input(config, ring, index, [RSet(ring, M[row]) for M in masks])
+            ])
+    return parts
 
 
 def _block_sets(config: ExperimentConfig, ring: Ring, indices: range):
@@ -454,7 +468,7 @@ def _worker_count() -> int:
     return count
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[list[CheckReport], dict]:
+def run_experiment(config: ExperimentConfig) -> tuple[ReportList, dict]:
     """Run the sweep and return (reports, summary); see the module notes."""
     ring = _ring_of(config.ring_spec)
     total = input_count(config, ring)
@@ -464,18 +478,50 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[CheckReport], dict]:
         step = max(1, -(-total // chunks))
         ranges = [(config, lo, min(total, lo + step)) for lo in range(0, total, step)]
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_run_range_star, ranges))
-        reports = [rep for part in parts for rep in part]
+            parts = [part for parts in ex.map(_run_range_star, ranges) for part in parts]
     else:
-        reports = _run_range(config, 0, total)
+        parts = _run_range(config, 0, total)
+    reports = ReportList(parts)
     return reports, summarize(config, reports, total)
 
 
-def summarize(config: ExperimentConfig, reports: list[CheckReport], inputs: int) -> dict:
+def summarize(config: ExperimentConfig, reports, inputs: int) -> dict:
+    """Verdict counts and exact ratio extremes and mean, folded part by part.
+
+    reports is a ReportList or a list of CheckReports.  Ratios compare by
+    integer cross-multiplication; the minimum and the maximum are each the
+    first report (in input order) that attains them.  The mean is the sum,
+    over each denominator, of the numerators above it, so a block adds up
+    in plain ints.
+    """
     verdicts = dict.fromkeys(VERDICTS, 0)
-    for rep in reports:
-        verdicts[rep.verdict] += 1
-    ratios = [(rep.ratio, i) for i, rep in enumerate(reports) if rep.ratio is not None]
+    lo = hi = None  # (numerator, denominator, part, row) of the extremes
+    sums: dict[int, int] = {}  # denominator -> sum of the numerators over it
+    count = 0
+    for part in reports.parts if isinstance(reports, ReportList) else [reports]:
+        if isinstance(part, ReportBlock):
+            for code, n in enumerate(map(part.verdicts.count, range(len(VERDICTS)))):
+                verdicts[VERDICTS[code]] += n
+            ratios = (
+                (row, num, den)
+                for row, (code, num, den) in enumerate(zip(part.verdicts, part.lhs, part.rhs))
+                if code != NOT_MET_CODE
+            )
+        else:
+            for rep in part:
+                verdicts[rep.verdict] += 1
+            ratios = (
+                (row, rep.ratio.numerator, rep.ratio.denominator)
+                for row, rep in enumerate(part)
+                if rep.ratio is not None
+            )
+        for row, num, den in ratios:
+            count += 1
+            sums[den] = sums.get(den, 0) + num
+            if lo is None or num * lo[1] < lo[0] * den:
+                lo = (num, den, part, row)
+            if hi is None or num * hi[1] > hi[0] * den:
+                hi = (num, den, part, row)
     summary = {
         "theorem": config.theorem,
         "ring": config.ring_spec,
@@ -491,16 +537,16 @@ def summarize(config: ExperimentConfig, reports: list[CheckReport], inputs: int)
         "ratio_mean": None,
         "argmin_sets": None,
     }
-    if ratios:
-        lo = min(ratios, key=lambda pair: (pair[0], pair[1]))
-        hi = max(ratios, key=lambda pair: (pair[0], -pair[1]))
-        mean = sum(fr for fr, _ in ratios) / len(ratios)
-        summary["ratio_min"] = f"{lo[0].numerator}/{lo[0].denominator}"
-        summary["ratio_min_float"] = float(lo[0])
-        summary["ratio_max"] = f"{hi[0].numerator}/{hi[0].denominator}"
-        summary["ratio_max_float"] = float(hi[0])
+    if count:
+        low, high = Fraction(lo[0], lo[1]), Fraction(hi[0], hi[1])
+        mean = sum(Fraction(num, den) for den, num in sums.items()) / count
+        summary["ratio_min"] = f"{low.numerator}/{low.denominator}"
+        summary["ratio_min_float"] = float(low)
+        summary["ratio_max"] = f"{high.numerator}/{high.denominator}"
+        summary["ratio_max_float"] = float(high)
         summary["ratio_mean"] = float(mean)
-        summary["argmin_sets"] = dict(reports[lo[1]].sets)
+        part, row = lo[2:]
+        summary["argmin_sets"] = part.sets_at(row) if isinstance(part, ReportBlock) else dict(part[row].sets)
     return summary
 
 

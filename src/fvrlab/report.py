@@ -6,10 +6,25 @@ conclusion is kept as a denominator-cleared exact integer comparison (lhs
 vs rhs); the ratio is the exact rational lhs/rhs and is only rendered to a
 float on serialization.
 
+A block sweep keeps its reports as columns instead: a :class:`ReportBlock`
+holds one column per field (gate rows, lhs and rhs as Python ints, verdict
+codes, seeds, set literals), and :meth:`ReportBlock.conclude` applies the
+same verdict rule to every row.  A :class:`ReportList` strings a sweep's
+blocks and lists of reports together in input order; indexing or iterating
+it builds each CheckReport on demand, while :func:`write_jsonl` and
+:func:`jsonl_chunks` render a block straight from its columns.
+
 The JSONL wire format per line (integers as decimal strings):
 {"theorem": str, "ring": str, "hypotheses": [{"name", "ok", "lhs", "rhs"}],
  "lhs": str, "rhs": str, "ratio": float|null, "verdict": str,
  "seed": int|null, "sets": {str: str}}
+
+One renderer, :func:`_json_line`, writes every line, for a CheckReport and
+a block row alike.  Its output is ``json.dumps(report.to_json_dict(),
+separators=(",", ":"), ensure_ascii=True)`` byte for byte: strings go
+through json's own ``encode_basestring_ascii``, and a ratio is rendered as
+``repr(lhs / rhs)``, since int true division rounds correctly and so gives
+the float of ``Fraction(lhs, rhs)``.
 """
 
 from __future__ import annotations
@@ -17,8 +32,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -28,6 +47,8 @@ HYPOTHESIS_NOT_MET = "hypothesis_not_met"
 RATIO_RECORDED = "ratio_recorded"
 
 VERDICTS = (PASS, FAIL, HYPOTHESIS_NOT_MET, RATIO_RECORDED)
+# a ReportBlock's verdict code is the verdict's index in VERDICTS
+NOT_MET_CODE = VERDICTS.index(HYPOTHESIS_NOT_MET)
 
 THEOREMS = (
     "T1_3",
@@ -54,9 +75,77 @@ class BoundRow:
     rhs: int
 
 
+@dataclass(frozen=True)
+class BoundColumn:
+    """One named bound row for every report of a block: a column per field."""
+
+    name: str
+    ok: list[bool]
+    lhs: list[int]
+    rhs: list[int]
+
+    def row(self, i: int) -> BoundRow:
+        return BoundRow(self.name, self.ok[i], self.lhs[i], self.rhs[i])
+
+
 def gates_hold(rows) -> bool:
     """True when every ``gate_*`` row holds: the theorem's hypotheses are met."""
     return all(h.ok for h in rows if h.name.startswith("gate_"))
+
+
+def _verdict(gates_ok: bool, holds: bool | None) -> str:
+    """The verdict rule; see CheckReport.conclude."""
+    if not gates_ok:
+        return HYPOTHESIS_NOT_MET
+    return RATIO_RECORDED if holds is None else PASS if holds else FAIL
+
+
+# -- the JSONL renderer ------------------------------------------------------
+
+_esc = json.encoder.encode_basestring_ascii
+
+
+def _json_line(theorem, ring, hypotheses, lhs, rhs, ratio, verdict, seed, sets) -> str:
+    """One report's line from the JSON text of each field.
+
+    ``hypotheses`` and ``sets`` are the bodies of the list and the object:
+    their members joined by commas, without the brackets.
+    """
+    return (
+        f'{{"theorem":{theorem},"ring":{ring},"hypotheses":[{hypotheses}],'
+        f'"lhs":{lhs},"rhs":{rhs},"ratio":{ratio},"verdict":{verdict},'
+        f'"seed":{seed},"sets":{{{sets}}}}}'
+    )
+
+
+def _value(value) -> str:
+    """The json.dumps text of one value."""
+    if isinstance(value, str):
+        return _esc(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, separators=(",", ":"), ensure_ascii=True)
+
+
+def _number(value) -> str:
+    """The JSON text of an integer field, which the wire carries as a string."""
+    return _esc(str(value))
+
+
+def _hypothesis(name: str, ok: str, lhs: str, rhs: str) -> str:
+    """The JSON text of one bound row from the JSON text of each field."""
+    return f'{{"name":{name},"ok":{ok},"lhs":{lhs},"rhs":{rhs}}}'
+
+
+# -- single reports ----------------------------------------------------------
 
 
 @dataclass
@@ -101,11 +190,12 @@ class CheckReport:
         check puts them into ``holds``: PLUN13 passes only when every one of
         its rows (the derivation chain and the dilation identity) holds.
         """
-        report = cls(theorem, ring.spec_string(), rows, 0, 0, None, HYPOTHESIS_NOT_MET, seed, sets)
-        if report.gates_ok:
-            report.lhs, report.rhs, report.ratio = lhs, rhs, Fraction(lhs, rhs)
-            report.verdict = RATIO_RECORDED if holds is None else PASS if holds else FAIL
-        return report
+        gates_ok = gates_hold(rows)
+        verdict = _verdict(gates_ok, holds)
+        if not gates_ok:
+            lhs = rhs = 0
+        ratio = Fraction(lhs, rhs) if gates_ok else None
+        return cls(theorem, ring.spec_string(), rows, lhs, rhs, ratio, verdict, seed, sets)
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,7 +214,25 @@ class CheckReport:
         }
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"), ensure_ascii=True)
+        if all(isinstance(key, str) for key in self.sets):
+            sets = ",".join(f"{_esc(key)}:{_value(value)}" for key, value in self.sets.items())
+        else:  # json.dumps turns other keys into strings by its own rules
+            sets = _value(dict(self.sets))[1:-1]
+        hypotheses = (
+            _hypothesis(_value(h.name), _value(h.ok), _number(h.lhs), _number(h.rhs))
+            for h in self.hypotheses
+        )
+        return _json_line(
+            _value(self.theorem),
+            _value(self.ring),
+            ",".join(hypotheses),
+            _number(self.lhs),
+            _number(self.rhs),
+            "null" if self.ratio is None else _value(float(self.ratio)),
+            _value(self.verdict),
+            _value(self.seed),
+            sets,
+        )
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CheckReport":
@@ -147,6 +255,172 @@ class CheckReport:
         )
 
 
+# -- blocks of reports -------------------------------------------------------
+
+
+@dataclass
+class ReportBlock:
+    """The reports of a block of inputs, one column per field.
+
+    Row i is the report ``CheckReport.conclude`` gives for row i of every
+    column; build a block with :meth:`conclude`.  ``verdicts`` holds codes,
+    indices into VERDICTS; a row's ratio is lhs/rhs unless its verdict is
+    ``hypothesis_not_met``.  A sets column holds None where a row lacks that
+    key, except the first.  Every rhs with a ratio is positive.
+    """
+
+    theorem: str
+    ring: str
+    hypotheses: list[BoundColumn]
+    lhs: list[int]
+    rhs: list[int]
+    verdicts: list[int]
+    seeds: list[int | None]
+    sets: dict[str, list[str | None]]
+
+    @classmethod
+    def conclude(cls, theorem, ring, columns, sets, seeds, lhs, rhs, holds) -> "ReportBlock":
+        """CheckReport.conclude on every row: the same verdict rule, by column.
+
+        ``columns`` are the bound rows as BoundColumns, and ``holds`` is a
+        column of the caller's cleared comparisons (None entries for a
+        ``ratio_recorded`` claim).  lhs and rhs are read only on rows whose
+        gates hold.
+        """
+        if theorem not in THEOREMS:
+            raise ValueError(f"unknown theorem id {theorem!r}")
+        gates_ok = [True] * len(seeds)
+        for col in columns:
+            if col.name.startswith("gate_"):
+                gates_ok = [a and b for a, b in zip(gates_ok, col.ok)]
+        verdicts = [VERDICTS.index(_verdict(*pair)) for pair in zip(gates_ok, holds)]
+        lhs = [x if ok else 0 for x, ok in zip(lhs, gates_ok)]
+        rhs = [x if ok else 0 for x, ok in zip(rhs, gates_ok)]
+        if any(x <= 0 for x, ok in zip(rhs, gates_ok) if ok):
+            raise ValueError("a ratio needs a positive rhs")
+        if sets and None in next(iter(sets.values())):
+            raise ValueError("the first sets column needs a value on every row")
+        return cls(theorem, ring.spec_string(), list(columns), lhs, rhs, verdicts, list(seeds), sets)
+
+    def __len__(self) -> int:
+        return len(self.verdicts)
+
+    def sets_at(self, i: int) -> dict[str, str]:
+        return {key: col[i] for key, col in self.sets.items() if col[i] is not None}
+
+    def report(self, i: int) -> CheckReport:
+        """Row i as a CheckReport."""
+        code = self.verdicts[i]
+        lhs, rhs = self.lhs[i], self.rhs[i]
+        return CheckReport(
+            self.theorem,
+            self.ring,
+            [col.row(i) for col in self.hypotheses],
+            lhs,
+            rhs,
+            None if code == NOT_MET_CODE else Fraction(lhs, rhs),
+            VERDICTS[code],
+            self.seeds[i],
+            self.sets_at(i),
+        )
+
+    def jsonl(self) -> str:
+        """The JSONL text of every row, from one template per block.
+
+        _json_line renders the template from the block's constant texts,
+        with a "%s" slot for each per-row field; each row then fills the
+        slots from its column texts.
+        """
+        if not self.verdicts:
+            return ""
+        texts = []  # a column of JSON texts per slot, in template order
+
+        def slot(column) -> str:
+            texts.append(column)
+            return "%s"
+
+        def const(text: str) -> str:
+            return text.replace("%", "%%")
+
+        def numbers(column):
+            return map(_esc, map(str, column))
+
+        hypotheses = ",".join(
+            _hypothesis(
+                const(_esc(col.name)),
+                slot(map(_value, col.ok)),
+                slot(numbers(col.lhs)),
+                slot(numbers(col.rhs)),
+            )
+            for col in self.hypotheses
+        )
+        verdicts = [_esc(v) for v in VERDICTS]
+        head = [
+            slot(numbers(self.lhs)),
+            slot(numbers(self.rhs)),
+            slot([
+                "null" if code == NOT_MET_CODE else float.__repr__(lhs / rhs)
+                for code, lhs, rhs in zip(self.verdicts, self.lhs, self.rhs)
+            ]),
+            slot(map(verdicts.__getitem__, self.verdicts)),
+            slot(["null" if seed is None else _value(seed) for seed in self.seeds]),
+        ]
+        members = []
+        for key, col in self.sets.items():
+            key = _esc(key)
+            if None in col:  # the slot carries its own comma (see conclude)
+                members.append(slot(["" if v is None else f",{key}:{_esc(v)}" for v in col]))
+            else:
+                members.append(("," if members else "") + f"{const(key)}:{slot(map(_esc, col))}")
+        line = _json_line(
+            const(_esc(self.theorem)), const(_esc(self.ring)), hypotheses, *head, "".join(members)
+        )
+        return "".join(map((line + "\n").__mod__, zip(*texts)))
+
+
+class ReportList(Sequence):
+    """A sweep's reports in input order, from ReportBlocks and lists of CheckReports.
+
+    Indexing and iteration build each CheckReport of a block on demand;
+    ``parts`` gives the blocks and lists themselves.
+    """
+
+    def __init__(self, parts):
+        self.parts = [part for part in parts if len(part)]
+        self._ends = list(accumulate(map(len, self.parts)))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("report index out of range")
+        k = bisect_right(self._ends, i)
+        part, row = self.parts[k], i - (self._ends[k - 1] if k else 0)
+        return part.report(row) if isinstance(part, ReportBlock) else part[row]
+
+    def __iter__(self):
+        for part in self.parts:
+            if isinstance(part, ReportBlock):
+                yield from map(part.report, range(len(part)))
+            else:
+                yield from part
+
+
+def jsonl_chunks(reports):
+    """The JSONL text of reports, in pieces; a block's piece comes from its columns."""
+    for part in reports.parts if isinstance(reports, ReportList) else [reports]:
+        if isinstance(part, ReportBlock):
+            yield part.jsonl()
+        else:
+            yield "".join(rep.to_json_line() + "\n" for rep in part)
+
+
 def sha256_prefix(data: bytes) -> str:
     """First 16 hex digits of the sha256 of data, as report literals carry it."""
     return hashlib.sha256(data).hexdigest()[:16]
@@ -158,25 +432,30 @@ def set_literal_or_digest(rset) -> str:
 
 
 def literals_or_digests(masks: np.ndarray) -> list[str]:
-    """set_literal_or_digest of every row of a (rows, order) bool membership mask."""
-    rows, members = np.nonzero(masks)
-    ends = np.cumsum(np.bincount(rows, minlength=len(masks))).tolist()
-    members = members.tolist()
-    out, lo = [], 0
-    for row, hi in enumerate(ends):
-        if hi - lo <= LITERAL_CAP:
-            out.append(",".join(map(str, members[lo:hi])))
-        else:
-            out.append(f"size={hi - lo};sha256={sha256_prefix(masks[row].tobytes())}")
-        lo = hi
-    return out
+    """set_literal_or_digest of every row of a (rows, order) bool membership mask.
+
+    The listed rows are written as one text, each member followed by "," or,
+    at the end of its row, by a newline, and then split at the newlines.
+    """
+    counts = masks.sum(axis=1)
+    listed = (counts > 0) & (counts <= LITERAL_CAP)
+    _, members = np.nonzero(masks[listed])
+    values, codes = np.unique(members, return_inverse=True)
+    ends = np.zeros(len(members), dtype=bool)
+    ends[np.cumsum(counts[listed]) - 1] = True
+    texts = np.array(
+        [f"{v}," for v in values.tolist()] + [f"{v}\n" for v in values.tolist()], dtype=object
+    )
+    out = np.full(len(masks), "", dtype=object)
+    out[listed] = "".join(texts[codes + len(values) * ends].tolist()).split("\n")[:-1]
+    for row in np.flatnonzero(counts > LITERAL_CAP).tolist():
+        out[row] = f"size={counts[row]};sha256={sha256_prefix(masks[row].tobytes())}"
+    return out.tolist()
 
 
 def write_jsonl(reports, path: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        for rep in reports:
-            fh.write(rep.to_json_line())
-            fh.write("\n")
+        fh.writelines(jsonl_chunks(reports))
 
 
 def read_jsonl(path: str) -> list[CheckReport]:

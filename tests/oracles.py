@@ -353,3 +353,72 @@ def claim_plunnecke(A, sumset, dilated_diff, shifted, chain):
         and shifted == dilated_diff
     )
     return True, holds, dilated_diff / bound
+
+
+def digit_kernel_mul(ring, a, b):
+    """fqxr products of index arrays by the s x s convolution of base-p digits.
+
+    Every coefficient pair of x-powers is convolved digit by digit, then each
+    y**t with t >= s is folded down with the monic field modulus, from the
+    top.  No table is read.
+    """
+    p, s, q = ring.p, ring.s, ring.q
+    g = ring.field_modulus or (0, 1)
+
+    def digits(x):
+        return [[x // q**i // p**j % p for j in range(s)] for i in range(ring.r)]
+
+    da, db = digits(np.asarray(a)), digits(np.asarray(b))
+    out = 0
+    for k in range(ring.r):
+        conv = [0] * (2 * s - 1)
+        for i in range(k + 1):
+            for u in range(s):
+                for v in range(s):
+                    conv[u + v] = conv[u + v] + da[i][u] * db[k - i][v]
+        for t in range(2 * s - 2, s - 1, -1):  # y**s = -(g_0 + ... + g_(s-1) y**(s-1))
+            for m in range(s):
+                conv[t - s + m] = conv[t - s + m] - conv[t] * g[m]
+        out = out + sum(conv[m] % p * p**m for m in range(s)) * q**k
+    return out
+
+
+def digit_kernel_add(ring, a, b):
+    """fqxr sums of index arrays, base-p digit by digit."""
+    a, b = np.asarray(a), np.asarray(b)
+    return sum((a // ring.p**j + b // ring.p**j) % ring.p * ring.p**j for j in range(ring.s * ring.r))
+
+
+def summarize_reports(config, reports, inputs):
+    """A sweep summary from a list of reports, one Fraction per ratio."""
+    reports = list(reports)
+    verdicts = dict.fromkeys(("pass", "fail", "hypothesis_not_met", "ratio_recorded"), 0)
+    for rep in reports:
+        verdicts[rep.verdict] += 1
+    ratios = [(rep.ratio, i) for i, rep in enumerate(reports) if rep.ratio is not None]
+    summary = {
+        "theorem": config.theorem,
+        "ring": config.ring_spec,
+        "mode": config.mode.literal if config.mode else "single",
+        "seed": config.seed,
+        "inputs": inputs,
+        "reports": len(reports),
+        "verdicts": verdicts,
+        "ratio_min": None,
+        "ratio_min_float": None,
+        "ratio_max": None,
+        "ratio_max_float": None,
+        "ratio_mean": None,
+        "argmin_sets": None,
+    }
+    if ratios:
+        lo = min(ratios, key=lambda pair: (pair[0], pair[1]))
+        hi = max(ratios, key=lambda pair: (pair[0], -pair[1]))
+        mean = sum(fr for fr, _ in ratios) / len(ratios)
+        summary["ratio_min"] = f"{lo[0].numerator}/{lo[0].denominator}"
+        summary["ratio_min_float"] = float(lo[0])
+        summary["ratio_max"] = f"{hi[0].numerator}/{hi[0].denominator}"
+        summary["ratio_max_float"] = float(hi[0])
+        summary["ratio_mean"] = float(mean)
+        summary["argmin_sets"] = dict(reports[lo[1]].sets)
+    return summary

@@ -1,12 +1,14 @@
 """Sweep engine: enumeration order, seeding, summaries, config files."""
 
 import itertools
+import json
 import math
 
 import pytest
 
 from fvrlab import experiments
 from fvrlab.checks import check_expander
+from fvrlab.cli import main
 from fvrlab.experiments import (
     EXHAUSTIVE_BUDGET,
     ExperimentConfig,
@@ -21,9 +23,11 @@ from fvrlab.experiments import (
     subsets_up_to,
     unrank_combination,
 )
+from fvrlab.report import CheckReport, ReportBlock
 from fvrlab.ring import parse_ring_spec
 from fvrlab.sampling import mix64, sample_subset
 from fvrlab.setalg import parse_quadpoly
+from oracles import summarize_reports
 
 Z9 = "zpr:p=3,r=2"
 
@@ -186,6 +190,62 @@ def test_block_expander_bytes_do_not_depend_on_workers(monkeypatch):
     pooled, summary_pooled = run_experiment(config)
     assert [r.to_json_line() for r in serial] == [r.to_json_line() for r in pooled]
     assert summary_serial == summary_pooled
+
+
+@pytest.mark.parametrize(
+    "spec, f, mode, workers",
+    [
+        # 3 blocks of 89 rows (edges at 89 and 178), gate_c_size holding on every row
+        ("fqxr:p=3,s=3,r=2", QUAD_T, "random:4,3,54:200", None),
+        # every row fails the gate: no ratio, null extremes
+        ("fqxr:p=3,s=3,r=2", QUAD_T, "random:4,3,53:100", None),
+        # 21952 inputs in 3 blocks of 9362, many tied ratios
+        ("zpr:p=7,r=1", QUAD_T.replace("T=1,2,0", "T=3,2,0"), "exhaustive:2", None),
+        ("zpr:p=3,r=2", LINEAR_T, "random:3,3,3:7300", "2"),
+        ("zpr:p=3,r=1", LINEAR_T, "exhaustive:2", "2"),
+    ],
+)
+def test_block_summary_equals_the_list_oracle(spec, f, mode, workers, monkeypatch):
+    if workers:
+        monkeypatch.setenv("FVRLAB_WORKERS", workers)
+    config = ExperimentConfig(theorem="T1_3", ring_spec=spec, f=f, mode=parse_mode(mode), seed=4)
+    reports, summary = run_experiment(config)
+    assert all(isinstance(part, ReportBlock) for part in reports.parts)
+    assert summary == summarize_reports(config, reports, summary["inputs"])
+    if mode == "random:4,3,53:100":
+        assert summary["verdicts"]["hypothesis_not_met"] == 100 and summary["ratio_min"] is None
+
+
+def test_list_summary_equals_the_list_oracle():
+    config = ExperimentConfig(theorem="T7_1", ring_spec=Z9, mode=parse_mode("random:4:30"), seed=6)
+    reports, summary = run_experiment(config)
+    assert summary == summarize_reports(config, reports, 30)
+    assert experiments.summarize(config, list(reports), 30) == summary
+
+
+def test_block_sweep_to_out_builds_no_report_objects(tmp_path, monkeypatch):
+    # the block path renders its lines from columns: no CheckReport, and
+    # json.dumps only for the summary line
+    calls = {"init": 0, "dumps": 0}
+    init, dumps = CheckReport.__init__, json.dumps
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_dumps(*args, **kwargs):
+        calls["dumps"] += 1
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(CheckReport, "__init__", counted_init)
+    monkeypatch.setattr(json, "dumps", counted_dumps)
+    monkeypatch.delenv("FVRLAB_WORKERS", raising=False)
+    out = tmp_path / "t.jsonl"
+    argv = ["check", "T1_3", "--ring", "fqxr:p=3,s=2,r=2", "--f", QUAD_T,
+            "--mode", "random:2,3,18:300", "--seed", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert calls == {"init": 0, "dumps": 1}
+    assert len(out.read_bytes().splitlines()) == 300
 
 
 def test_t7_1_emits_triple_and_line_reports_in_order():
