@@ -27,11 +27,12 @@ finite valuation rings that this module does not construct; ``fqxr``
 already realizes every (q, r) shape, which is all the experiments need.
 
 Each ring family has one arithmetic path.  ``zpr`` adds, negates and
-multiplies indices modulo p**r.  ``fqxr`` works on base-p digit arrays:
-up to order TABLE_MAX_ORDER those digit kernels fill int64 Cayley tables
-once per ring shape and every add/neg/mul is one gather from them; above
-it the digit kernels run on every call.  Scalar ops on ``fqxr`` are the
-array ops on 0-d input.
+multiplies indices modulo p**r.  ``fqxr`` adds and negates base-p digit
+arrays, and multiplies coefficient by coefficient, each residue-field
+product gathered from the field's q x q product table: up to order
+TABLE_MAX_ORDER those kernels fill int64 Cayley tables once per ring
+shape and every add/neg/mul is one gather from them; above it the kernels
+run on every call.  Scalar ops on ``fqxr`` are the array ops on 0-d input.
 """
 
 from __future__ import annotations
@@ -419,24 +420,70 @@ class Ring:
         return self._encode_arr((-self._digits_arr(a)) % self.p)
 
     def _mul_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        r, s, p = self.r, self.s, self.p
-        da = self._digits_arr(a).reshape(a.shape + (r, s))
-        db = self._digits_arr(b).reshape(b.shape + (r, s))
-        da, db = np.broadcast_arrays(da, db)
-        shape = da.shape[:-2]
-        out = np.zeros(shape + (r, s), dtype=np.int64)
-        for k in range(r):
-            conv = np.zeros(shape + (2 * s - 1,), dtype=np.int64)
-            for i in range(k + 1):
-                for u in range(s):
-                    for v in range(s):
-                        conv[..., u + v] += da[..., i, u] * db[..., k - i, v]
-            if s == 1:
-                out[..., k, 0] = conv[..., 0] % p
-            else:
-                red = (conv.reshape(-1, 2 * s - 1) @ self._red) % p
-                out[..., k, :] = red.reshape(shape + (s,))
-        return self._encode_arr(out.reshape(shape + (r * s,)))
+        """a * b as polynomials in x over the residue field, cut at x**r.
+
+        Coefficient k of the product sums the residue-field products
+        a_i * b_(k-i).  Each product is one gather from the field's spread
+        q x q product table (see _spread_tables), so the sum is a plain
+        integer sum, and one gather per coefficient reads it back.  The
+        field's own product (r = 1) is _field_mul.
+        """
+        if self.r == 1:
+            return self._field_mul(a, b)
+        q = self.q
+        products, readback = self._spread_tables()
+        ca = [(a // q**i) % q * q for i in range(self.r)]
+        cb = [(b // q**i) % q for i in range(self.r)]
+        out = 0
+        for k in range(self.r):
+            total = products[ca[0] + cb[k]]
+            for i in range(1, k + 1):
+                total = total + products[ca[i] + cb[k - i]]
+            out = out + readback[total] * q**k
+        return out
+
+    def _field_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products of residue-field indices in [0, q): the s x s convolution
+        of their base-p digits, reduced mod the field modulus."""
+        s, p = self.s, self.p
+        da = [(a // p**j) % p for j in range(s)]
+        db = [(b // p**j) % p for j in range(s)]
+        conv = [
+            sum(da[u] * db[t - u] for u in range(max(0, t - s + 1), min(t, s - 1) + 1))
+            for t in range(2 * s - 1)
+        ]
+        if s == 1:
+            return conv[0] % p
+        red = self._red.tolist()
+        return sum(
+            (sum(c * red[t][j] for t, c in enumerate(conv) if red[t][j]) % p) * p**j
+            for j in range(s)
+        )
+
+    def _spread_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The residue field's products, spread for carry-free sums.
+
+        products[u * q + v] is the product of field indices u and v with its
+        base-p digit j moved to B**j, for B = r * (p - 1) + 1; a sum of r such
+        entries keeps every base-B digit below B.  readback[t] is the field
+        index whose digit j is digit j of t mod p.  Built once per ring
+        shape, from at most q * q <= 10**6 products (r > 1 bounds q).
+        """
+        tables = _TABLES.setdefault(self.key, {})
+        if "spread" not in tables:
+            p, s, q = self.p, self.s, self.q
+            base = self.r * (p - 1) + 1
+            u = np.arange(q, dtype=np.int64)
+            step = max(1, (1 << 15) // q)  # row blocks bound the digit temporaries
+            prod = np.concatenate([self._field_mul(u[lo : lo + step, None], u) for lo in range(0, q, step)])
+            t = np.arange(base**s, dtype=np.int64)
+            tables["spread"] = (
+                sum((prod.reshape(-1) // p**j % p) * base**j for j in range(s)),
+                sum((t // base**j % base % p) * p**j for j in range(s)),
+            )
+            for tab in tables["spread"]:
+                tab.flags.writeable = False
+        return tables["spread"]
 
     def _fqxr_op(self, kernel, *args: np.ndarray) -> np.ndarray:
         """kernel(*args), as one gather from its table up to TABLE_MAX_ORDER.

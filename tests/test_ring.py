@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvrlab.ring import TABLE_MAX_ORDER, Coset, make_ring, parse_ring_spec
-from oracles import brute_solve_linear, slow_mul, slow_valuation
+from oracles import (
+    brute_solve_linear,
+    digit_kernel_add,
+    digit_kernel_mul,
+    slow_mul,
+    slow_valuation,
+)
 
 
 def all_pairs(ring):
@@ -158,6 +164,28 @@ def test_axioms_larger_fqxr(a, b, c):
     assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
     assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
     assert ring.mul(a, b) == slow_mul(ring, a, b)
+
+
+@pytest.mark.parametrize(
+    "p, s, r",
+    # every fqxr shape of order <= 729 the tests use, and three more
+    [(3, 1, 2), (3, 1, 3), (3, 2, 1), (3, 2, 2), (3, 3, 2), (3, 1, 6), (3, 2, 3), (5, 2, 2)],
+)
+def test_cayley_tables_equal_the_digit_oracle(p, s, r):
+    ring = make_ring("fqxr", p, s=s, r=r)
+    assert ring.order <= TABLE_MAX_ORDER
+    a, b = all_pairs(ring)
+    assert (ring.mul_arr(a, b) == digit_kernel_mul(ring, a, b)).all()
+    assert (ring.add_arr(a, b) == digit_kernel_add(ring, a, b)).all()
+
+
+@pytest.mark.parametrize("p, s, r", [(3, 2, 4), (3, 1, 7), (3, 3, 3), (5, 2, 3)])
+def test_kernels_above_table_cap_equal_the_digit_oracle(p, s, r):
+    ring = make_ring("fqxr", p, s=s, r=r)
+    assert ring.order > TABLE_MAX_ORDER
+    a, b = np.random.default_rng(ring.order).integers(0, ring.order, size=(2, 5000))
+    assert (ring.mul_arr(a, b) == digit_kernel_mul(ring, a, b)).all()
+    assert (ring.mul_arr(a[:, None], b[:50]) == digit_kernel_mul(ring, a[:, None], b[:50])).all()
 
 
 def test_digit_kernels_above_table_cap():
