@@ -86,8 +86,8 @@ def check_expander(
     sizes = ([len(A)], [len(B)], [len(C)])
     gates, *_ = expander_rule(ring.q, ring.r, spec.deg_T, *sizes)
     rows = [col.row(0) for col in gates]
-    sets = {"f": spec.literal, "A": set_literal_or_digest(A)}
-    sets.update(B=set_literal_or_digest(B), C=set_literal_or_digest(C))
+    sets = {"f": spec.literal}
+    sets.update(zip("ABC", (set_literal_or_digest(X) for X in (A, B, C))))
     if not gates_hold(rows):
         return CheckReport.conclude("T1_3", ring, rows, sets, seed)
     image = len(image_quad3(spec, A, B, C))

@@ -489,13 +489,13 @@ def summarize(config: ExperimentConfig, reports, inputs: int) -> dict:
     """Verdict counts and exact ratio extremes and mean, folded part by part.
 
     reports is a ReportList or a list of CheckReports.  Ratios compare by
-    integer cross-multiplication; the minimum and the maximum are each the
-    first report (in input order) that attains them.  The mean is the sum,
+    integer cross-multiplication, and argmin_sets are the sets of the first
+    report (in input order) with the least ratio.  The mean is the sum,
     over each denominator, of the numerators above it, so a block adds up
     in plain ints.
     """
     verdicts = dict.fromkeys(VERDICTS, 0)
-    lo = hi = None  # (numerator, denominator, part, row) of the extremes
+    lo = hi = None  # (numerator, denominator[, part, row]) of the min and the max
     sums: dict[int, int] = {}  # denominator -> sum of the numerators over it
     count = 0
     for part in reports.parts if isinstance(reports, ReportList) else [reports]:
@@ -521,7 +521,7 @@ def summarize(config: ExperimentConfig, reports, inputs: int) -> dict:
             if lo is None or num * lo[1] < lo[0] * den:
                 lo = (num, den, part, row)
             if hi is None or num * hi[1] > hi[0] * den:
-                hi = (num, den, part, row)
+                hi = (num, den)
     summary = {
         "theorem": config.theorem,
         "ring": config.ring_spec,

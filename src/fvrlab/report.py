@@ -363,7 +363,7 @@ class ReportBlock:
                 for code, lhs, rhs in zip(self.verdicts, self.lhs, self.rhs)
             ]),
             slot(map(verdicts.__getitem__, self.verdicts)),
-            slot(["null" if seed is None else _value(seed) for seed in self.seeds]),
+            slot(map(_value, self.seeds)),
         ]
         members = []
         for key, col in self.sets.items():
@@ -426,9 +426,17 @@ def sha256_prefix(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _digest(mask: np.ndarray) -> str:
+    """The literal of a set past LITERAL_CAP members: its size and a content hash."""
+    return f"size={int(mask.sum())};sha256={sha256_prefix(mask.tobytes())}"
+
+
 def set_literal_or_digest(rset) -> str:
     """Member literal, or size plus a content hash for very large sets."""
-    return literals_or_digests(rset.mask[None, :])[0]
+    members = np.flatnonzero(rset.mask)
+    if len(members) > LITERAL_CAP:
+        return _digest(rset.mask)
+    return ",".join(map(str, members.tolist()))
 
 
 def literals_or_digests(masks: np.ndarray) -> list[str]:
@@ -449,7 +457,7 @@ def literals_or_digests(masks: np.ndarray) -> list[str]:
     out = np.full(len(masks), "", dtype=object)
     out[listed] = "".join(texts[codes + len(values) * ends].tolist()).split("\n")[:-1]
     for row in np.flatnonzero(counts > LITERAL_CAP).tolist():
-        out[row] = f"size={counts[row]};sha256={sha256_prefix(masks[row].tobytes())}"
+        out[row] = _digest(masks[row])
     return out.tolist()
 
 
