@@ -44,9 +44,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from fractions import Fraction
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -546,7 +546,8 @@ def summarize(config: ExperimentConfig, reports, inputs: int) -> dict:
         summary["ratio_max_float"] = float(high)
         summary["ratio_mean"] = float(mean)
         part, row = lo[2:]
-        summary["argmin_sets"] = part.sets_at(row) if isinstance(part, ReportBlock) else dict(part[row].sets)
+        argmin = part.sets_at(row) if isinstance(part, ReportBlock) else dict(part[row].sets)
+        summary["argmin_sets"] = argmin
     return summary
 
 

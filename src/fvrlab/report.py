@@ -300,7 +300,8 @@ class ReportBlock:
             raise ValueError("a ratio needs a positive rhs")
         if sets and None in next(iter(sets.values())):
             raise ValueError("the first sets column needs a value on every row")
-        return cls(theorem, ring.spec_string(), list(columns), lhs, rhs, verdicts, list(seeds), sets)
+        spec = ring.spec_string()
+        return cls(theorem, spec, list(columns), lhs, rhs, verdicts, list(seeds), sets)
 
     def __len__(self) -> int:
         return len(self.verdicts)

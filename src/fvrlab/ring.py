@@ -475,7 +475,9 @@ class Ring:
             base = self.r * (p - 1) + 1
             u = np.arange(q, dtype=np.int64)
             step = max(1, (1 << 15) // q)  # row blocks bound the digit temporaries
-            prod = np.concatenate([self._field_mul(u[lo : lo + step, None], u) for lo in range(0, q, step)])
+            prod = np.concatenate(
+                [self._field_mul(u[lo : lo + step, None], u) for lo in range(0, q, step)]
+            )
             t = np.arange(base**s, dtype=np.int64)
             tables["spread"] = (
                 sum((prod.reshape(-1) // p**j % p) * base**j for j in range(s)),

@@ -385,8 +385,8 @@ def digit_kernel_mul(ring, a, b):
 
 def digit_kernel_add(ring, a, b):
     """fqxr sums of index arrays, base-p digit by digit."""
-    a, b = np.asarray(a), np.asarray(b)
-    return sum((a // ring.p**j + b // ring.p**j) % ring.p * ring.p**j for j in range(ring.s * ring.r))
+    a, b, p = np.asarray(a), np.asarray(b), ring.p
+    return sum((a // p**j + b // p**j) % p * p**j for j in range(ring.s * ring.r))
 
 
 def summarize_reports(config, reports, inputs):

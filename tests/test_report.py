@@ -26,10 +26,8 @@ def dumps(obj) -> str:
 
 # quotes, backslashes, control characters, "%" (the block template's slot
 # marker) and text outside ASCII, next to plain literals
-TEXT = st.text(
-    alphabet=st.one_of(st.sampled_from('"\\%{}:,\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()),
-    max_size=12,
-)
+SPECIAL = st.sampled_from('"\\%{}:,\x00\x1f\x7f\u00e9\u2028\U0001f600')
+TEXT = st.text(alphabet=st.one_of(SPECIAL, st.characters()), max_size=12)
 BIG = st.integers(-(2**80), 2**80)
 SEEDS = st.one_of(st.sampled_from([None, 0, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
@@ -70,7 +68,8 @@ def blocks(draw):
     names = draw(st.lists(st.one_of(TEXT, st.sampled_from(["gate_a", "gate_b"])), max_size=3))
     columns = [BoundColumn(name, column(st.booleans()), column(BIG), column(BIG)) for name in names]
     keys = draw(st.lists(TEXT, unique=True, max_size=4))
-    sets = {key: column(TEXT if i == 0 else st.one_of(st.none(), TEXT)) for i, key in enumerate(keys)}
+    # only the first sets column has a value on every row
+    sets = {key: column(st.one_of(st.none(), TEXT) if i else TEXT) for i, key in enumerate(keys)}
     spec = draw(TEXT)
     ring = SimpleNamespace(spec_string=lambda: spec)
     holds = column(st.sampled_from([None, True, False]))
