@@ -17,6 +17,7 @@ from .report import (
     CheckReport,
     ReportBlock,
     gates_hold,
+    gates_hold_columns,
     literals_or_digests,
     set_literal_or_digest,
 )
@@ -106,9 +107,7 @@ def expander_reports(spec: QuadPolySpec, A, B, C, seeds) -> ReportBlock:
     ring = spec.ring
     sizes = [M.sum(axis=1).tolist() for M in (A, B, C)]
     gates, *_ = expander_rule(ring.q, ring.r, spec.deg_T, *sizes)
-    gated = np.ones(len(seeds), dtype=bool)
-    for col in gates:
-        gated &= np.array(col.ok, dtype=bool)
+    gated = np.array(gates_hold_columns(gates, len(seeds)), dtype=bool)
     images = np.zeros(len(seeds), dtype=np.int64)
     images[gated] = image_quad3_sizes(spec, A[gated], B[gated], C[gated])
     images = images.tolist()

@@ -22,12 +22,14 @@ subset.  One kernel then sizes the image of every row, the same size rule
 as check_expander gives every row's sides, and the block's reports stay
 columns: a ReportBlock, which workers pickle as a few lists and --out
 renders from one template.  Every other theorem gets one RSet per slot and
-input through _run_input, and its block is a list of CheckReports.
+input through _run_input, and its block is a ReportRun: a list of
+CheckReports with the same part methods as a ReportBlock.
 
 run_experiment returns the blocks as a ReportList, which builds a
 CheckReport only when one is indexed or iterated.  summarize folds the
-blocks one after another: verdict counts, the exact extremes by integer
-cross-multiplication, and the exact mean from per-denominator sums.
+parts one after another through those methods: verdict counts, the exact
+extremes by integer cross-multiplication, and the exact mean from
+per-denominator sums.
 
 What a sweep needs to know about each theorem id (its set slots, whether
 random sets are units only, the config keys it reads, and the check calls)
@@ -64,7 +66,7 @@ from .checks import (
 )
 from .geometry import geometry_bound_report, line_count_report
 from .incidence import WeightedFamily, incidence_bound_report, weighted_bound_report
-from .report import NOT_MET_CODE, VERDICTS, CheckReport, ReportBlock, ReportList
+from .report import VERDICTS, CheckReport, ReportList, ReportRun
 from .ring import Ring, parse_ring_spec
 from .sampling import (
     mix64,
@@ -410,8 +412,8 @@ def input_count(config: ExperimentConfig, ring: Ring) -> int:
 def _run_range(config: ExperimentConfig, lo: int, hi: int) -> list:
     """Reports of inputs lo..hi-1, walked in blocks of BLOCK_ELEMS // order inputs.
 
-    One part per block: a ReportBlock from a theorem's block path, else the
-    list of the block's CheckReports.
+    One part per block: a ReportBlock from a theorem's block path, else a
+    ReportRun of the block's CheckReports.
     """
     ring = _ring_of(config.ring_spec)
     theorem = THEOREMS[config.theorem]
@@ -421,16 +423,16 @@ def _run_range(config: ExperimentConfig, lo: int, hi: int) -> list:
         indices = range(start, min(hi, start + step))
         drawn = _block_sets(config, ring, indices)
         if drawn is None:
-            parts.append([rep for index in indices for rep in _run_input(config, ring, index)])
+            parts.append(ReportRun(rep for index in indices for rep in _run_input(config, ring, index)))
         elif theorem.block:
             parts.append(theorem.block(config, ring, *drawn))
         else:
             masks, _ = drawn
-            parts.append([
+            parts.append(ReportRun(
                 rep
                 for row, index in enumerate(indices)
                 for rep in _run_input(config, ring, index, [RSet(ring, M[row]) for M in masks])
-            ])
+            ))
     return parts
 
 
@@ -485,10 +487,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[ReportList, dict]:
     return reports, summarize(config, reports, total)
 
 
-def summarize(config: ExperimentConfig, reports, inputs: int) -> dict:
+def summarize(config: ExperimentConfig, reports: ReportList, inputs: int) -> dict:
     """Verdict counts and exact ratio extremes and mean, folded part by part.
 
-    reports is a ReportList or a list of CheckReports.  Ratios compare by
+    Ratios compare by
     integer cross-multiplication, and argmin_sets are the sets of the first
     report (in input order) with the least ratio.  The mean is the sum,
     over each denominator, of the numerators above it, so a block adds up
@@ -498,24 +500,10 @@ def summarize(config: ExperimentConfig, reports, inputs: int) -> dict:
     lo = hi = None  # (numerator, denominator[, part, row]) of the min and the max
     sums: dict[int, int] = {}  # denominator -> sum of the numerators over it
     count = 0
-    for part in reports.parts if isinstance(reports, ReportList) else [reports]:
-        if isinstance(part, ReportBlock):
-            for code, n in enumerate(map(part.verdicts.count, range(len(VERDICTS)))):
-                verdicts[VERDICTS[code]] += n
-            ratios = (
-                (row, num, den)
-                for row, (code, num, den) in enumerate(zip(part.verdicts, part.lhs, part.rhs))
-                if code != NOT_MET_CODE
-            )
-        else:
-            for rep in part:
-                verdicts[rep.verdict] += 1
-            ratios = (
-                (row, rep.ratio.numerator, rep.ratio.denominator)
-                for row, rep in enumerate(part)
-                if rep.ratio is not None
-            )
-        for row, num, den in ratios:
+    for part in reports.parts:
+        for verdict, n in part.verdict_counts().items():
+            verdicts[verdict] += n
+        for row, num, den in part.ratio_rows():
             count += 1
             sums[den] = sums.get(den, 0) + num
             if lo is None or num * lo[1] < lo[0] * den:
@@ -546,8 +534,7 @@ def summarize(config: ExperimentConfig, reports, inputs: int) -> dict:
         summary["ratio_max_float"] = float(high)
         summary["ratio_mean"] = float(mean)
         part, row = lo[2:]
-        argmin = part.sets_at(row) if isinstance(part, ReportBlock) else dict(part[row].sets)
-        summary["argmin_sets"] = argmin
+        summary["argmin_sets"] = part.sets_at(row)
     return summary
 
 

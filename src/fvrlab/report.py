@@ -9,10 +9,12 @@ float on serialization.
 A block sweep keeps its reports as columns instead: a :class:`ReportBlock`
 holds one column per field (gate rows, lhs and rhs as Python ints, verdict
 codes, seeds, set literals), and :meth:`ReportBlock.conclude` applies the
-same verdict rule to every row.  A :class:`ReportList` strings a sweep's
-blocks and lists of reports together in input order; indexing or iterating
-it builds each CheckReport on demand, while :func:`write_jsonl` and
-:func:`jsonl_chunks` render a block straight from its columns.
+same verdict rule to every row.  A :class:`ReportRun` is a plain list of
+CheckReports that answers the same part methods (verdict counts, ratio
+rows, sets, JSONL text).  A :class:`ReportList` strings a sweep's parts
+together in input order; indexing or iterating it builds each CheckReport
+on demand, while :func:`write_jsonl` and :func:`jsonl_chunks` render a
+block straight from its columns.
 
 The JSONL wire format per line (integers as decimal strings):
 {"theorem": str, "ring": str, "hypotheses": [{"name", "ok", "lhs", "rhs"}],
@@ -91,6 +93,12 @@ class BoundColumn:
 def gates_hold(rows) -> bool:
     """True when every ``gate_*`` row holds: the theorem's hypotheses are met."""
     return all(h.ok for h in rows if h.name.startswith("gate_"))
+
+
+def gates_hold_columns(columns, n: int) -> list[bool]:
+    """gates_hold of each of n rows, from the rows' BoundColumns."""
+    gates = [col.ok for col in columns if col.name.startswith("gate_")]
+    return [all(row) for row in zip(*gates)] if gates else [True] * n
 
 
 def _verdict(gates_ok: bool, holds: bool | None) -> str:
@@ -214,10 +222,7 @@ class CheckReport:
         }
 
     def to_json_line(self) -> str:
-        if all(isinstance(key, str) for key in self.sets):
-            sets = ",".join(f"{_esc(key)}:{_value(value)}" for key, value in self.sets.items())
-        else:  # json.dumps turns other keys into strings by its own rules
-            sets = _value(dict(self.sets))[1:-1]
+        sets = ",".join(f"{_esc(key)}:{_value(value)}" for key, value in self.sets.items())
         hypotheses = (
             _hypothesis(_value(h.name), _value(h.ok), _number(h.lhs), _number(h.rhs))
             for h in self.hypotheses
@@ -289,10 +294,7 @@ class ReportBlock:
         """
         if theorem not in THEOREMS:
             raise ValueError(f"unknown theorem id {theorem!r}")
-        gates_ok = [True] * len(seeds)
-        for col in columns:
-            if col.name.startswith("gate_"):
-                gates_ok = [a and b for a, b in zip(gates_ok, col.ok)]
+        gates_ok = gates_hold_columns(columns, len(seeds))
         verdicts = [VERDICTS.index(_verdict(*pair)) for pair in zip(gates_ok, holds)]
         lhs = [x if ok else 0 for x, ok in zip(lhs, gates_ok)]
         rhs = [x if ok else 0 for x, ok in zip(rhs, gates_ok)]
@@ -308,6 +310,15 @@ class ReportBlock:
 
     def sets_at(self, i: int) -> dict[str, str]:
         return {key: col[i] for key, col in self.sets.items() if col[i] is not None}
+
+    def verdict_counts(self) -> dict[str, int]:
+        return {verdict: self.verdicts.count(code) for code, verdict in enumerate(VERDICTS)}
+
+    def ratio_rows(self):
+        """(row, lhs, rhs) of every row with a ratio, in row order."""
+        for row, (code, lhs, rhs) in enumerate(zip(self.verdicts, self.lhs, self.rhs)):
+            if code != NOT_MET_CODE:
+                yield row, lhs, rhs
 
     def report(self, i: int) -> CheckReport:
         """Row i as a CheckReport."""
@@ -379,11 +390,36 @@ class ReportBlock:
         return "".join(map((line + "\n").__mod__, zip(*texts)))
 
 
+class ReportRun(list):
+    """A list of CheckReports that answers as a ReportBlock does."""
+
+    def sets_at(self, i: int) -> dict[str, str]:
+        return dict(self[i].sets)
+
+    def verdict_counts(self) -> dict[str, int]:
+        counts = dict.fromkeys(VERDICTS, 0)
+        for rep in self:
+            counts[rep.verdict] += 1
+        return counts
+
+    def ratio_rows(self):
+        """(row, numerator, denominator) of every report with a ratio, in order."""
+        for row, rep in enumerate(self):
+            if rep.ratio is not None:
+                yield row, rep.ratio.numerator, rep.ratio.denominator
+
+    def report(self, i: int) -> CheckReport:
+        return self[i]
+
+    def jsonl(self) -> str:
+        return "".join(rep.to_json_line() + "\n" for rep in self)
+
+
 class ReportList(Sequence):
-    """A sweep's reports in input order, from ReportBlocks and lists of CheckReports.
+    """A sweep's reports in input order, from parts: ReportBlocks and ReportRuns.
 
     Indexing and iteration build each CheckReport of a block on demand;
-    ``parts`` gives the blocks and lists themselves.
+    ``parts`` gives the parts themselves.
     """
 
     def __init__(self, parts):
@@ -403,23 +439,22 @@ class ReportList(Sequence):
             raise IndexError("report index out of range")
         k = bisect_right(self._ends, i)
         part, row = self.parts[k], i - (self._ends[k - 1] if k else 0)
-        return part.report(row) if isinstance(part, ReportBlock) else part[row]
+        return part.report(row)
 
     def __iter__(self):
         for part in self.parts:
-            if isinstance(part, ReportBlock):
-                yield from map(part.report, range(len(part)))
-            else:
-                yield from part
+            yield from map(part.report, range(len(part)))
 
 
 def jsonl_chunks(reports):
-    """The JSONL text of reports, in pieces; a block's piece comes from its columns."""
-    for part in reports.parts if isinstance(reports, ReportList) else [reports]:
-        if isinstance(part, ReportBlock):
-            yield part.jsonl()
-        else:
-            yield "".join(rep.to_json_line() + "\n" for rep in part)
+    """The JSONL text of reports, a ReportList or any iterable of CheckReports.
+
+    One piece per part of a ReportList; a block's piece comes from its columns.
+    """
+    if not isinstance(reports, ReportList):
+        reports = ReportList([ReportRun(reports)])
+    for part in reports.parts:
+        yield part.jsonl()
 
 
 def sha256_prefix(data: bytes) -> str:
@@ -427,39 +462,24 @@ def sha256_prefix(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _digest(mask: np.ndarray) -> str:
-    """The literal of a set past LITERAL_CAP members: its size and a content hash."""
-    return f"size={int(mask.sum())};sha256={sha256_prefix(mask.tobytes())}"
-
-
 def set_literal_or_digest(rset) -> str:
     """Member literal, or size plus a content hash for very large sets."""
-    members = np.flatnonzero(rset.mask)
-    if len(members) > LITERAL_CAP:
-        return _digest(rset.mask)
-    return ",".join(map(str, members.tolist()))
+    return literals_or_digests(rset.mask[None, :])[0]
 
 
 def literals_or_digests(masks: np.ndarray) -> list[str]:
-    """set_literal_or_digest of every row of a (rows, order) bool membership mask.
-
-    The listed rows are written as one text, each member followed by "," or,
-    at the end of its row, by a newline, and then split at the newlines.
-    """
-    counts = masks.sum(axis=1)
-    listed = (counts > 0) & (counts <= LITERAL_CAP)
-    _, members = np.nonzero(masks[listed])
-    values, codes = np.unique(members, return_inverse=True)
-    ends = np.zeros(len(members), dtype=bool)
-    ends[np.cumsum(counts[listed]) - 1] = True
-    texts = np.array(
-        [f"{v}," for v in values.tolist()] + [f"{v}\n" for v in values.tolist()], dtype=object
-    )
-    out = np.full(len(masks), "", dtype=object)
-    out[listed] = "".join(texts[codes + len(values) * ends].tolist()).split("\n")[:-1]
-    for row in np.flatnonzero(counts > LITERAL_CAP).tolist():
-        out[row] = _digest(masks[row])
-    return out.tolist()
+    """set_literal_or_digest of every row of a (rows, order) bool membership mask."""
+    rows, members = np.nonzero(masks)
+    ends = np.cumsum(np.bincount(rows, minlength=len(masks))).tolist()
+    members = members.tolist()
+    out, lo = [], 0
+    for row, hi in enumerate(ends):
+        if hi - lo <= LITERAL_CAP:
+            out.append(",".join(map(str, members[lo:hi])))
+        else:
+            out.append(f"size={hi - lo};sha256={sha256_prefix(masks[row].tobytes())}")
+        lo = hi
+    return out
 
 
 def write_jsonl(reports, path: str) -> None:

@@ -23,7 +23,7 @@ from fvrlab.experiments import (
     subsets_up_to,
     unrank_combination,
 )
-from fvrlab.report import CheckReport, ReportBlock
+from fvrlab.report import CheckReport, ReportBlock, ReportList, ReportRun
 from fvrlab.ring import parse_ring_spec
 from fvrlab.sampling import mix64, sample_subset
 from fvrlab.setalg import parse_quadpoly
@@ -220,7 +220,7 @@ def test_list_summary_equals_the_list_oracle():
     config = ExperimentConfig(theorem="T7_1", ring_spec=Z9, mode=parse_mode("random:4:30"), seed=6)
     reports, summary = run_experiment(config)
     assert summary == summarize_reports(config, reports, 30)
-    assert experiments.summarize(config, list(reports), 30) == summary
+    assert experiments.summarize(config, ReportList([ReportRun(reports)]), 30) == summary
 
 
 def test_block_sweep_to_out_builds_no_report_objects(tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvrlab.report import (
-    NOT_MET_CODE,
     THEOREMS,
     VERDICTS,
     BoundColumn,
@@ -16,6 +15,7 @@ from fvrlab.report import (
     CheckReport,
     ReportBlock,
     ReportList,
+    ReportRun,
     jsonl_chunks,
 )
 
@@ -84,11 +84,15 @@ def blocks(draw):
 def test_block_lines_are_json_dumps_of_its_reports(block):
     lines = block.jsonl().splitlines(keepends=True)
     assert len(lines) == len(block)
+    ratios = {row: Fraction(lhs, rhs) for row, lhs, rhs in block.ratio_rows()}
     for i, line in enumerate(lines):
         rep = block.report(i)
         assert line == dumps(rep.to_json_dict()) + "\n" == rep.to_json_line() + "\n"
-        assert (rep.ratio is None) == (block.verdicts[i] == NOT_MET_CODE)
-    mixed = ReportList([block, [block.report(0)], block])
+        assert rep.ratio == ratios.get(i)
+    run = ReportRun(map(block.report, range(len(block))))
+    assert block.verdict_counts() == run.verdict_counts()
+    assert ratios == {row: Fraction(num, den) for row, num, den in run.ratio_rows()}
+    mixed = ReportList([block, ReportRun([block.report(0)]), block])
     assert "".join(jsonl_chunks(mixed)) == "".join(r.to_json_line() + "\n" for r in mixed)
     assert [r.to_json_line() for r in mixed[::-1]] == [r.to_json_line() for r in reversed(mixed)]
 
