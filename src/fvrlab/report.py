@@ -50,7 +50,7 @@ RATIO_RECORDED = "ratio_recorded"
 
 VERDICTS = (PASS, FAIL, HYPOTHESIS_NOT_MET, RATIO_RECORDED)
 # a ReportBlock's verdict code is the verdict's index in VERDICTS
-NOT_MET_CODE = VERDICTS.index(HYPOTHESIS_NOT_MET)
+_NOT_MET_CODE = VERDICTS.index(HYPOTHESIS_NOT_MET)
 
 THEOREMS = (
     "T1_3",
@@ -317,7 +317,7 @@ class ReportBlock:
     def ratio_rows(self):
         """(row, lhs, rhs) of every row with a ratio, in row order."""
         for row, (code, lhs, rhs) in enumerate(zip(self.verdicts, self.lhs, self.rhs)):
-            if code != NOT_MET_CODE:
+            if code != _NOT_MET_CODE:
                 yield row, lhs, rhs
 
     def report(self, i: int) -> CheckReport:
@@ -330,7 +330,7 @@ class ReportBlock:
             [col.row(i) for col in self.hypotheses],
             lhs,
             rhs,
-            None if code == NOT_MET_CODE else Fraction(lhs, rhs),
+            None if code == _NOT_MET_CODE else Fraction(lhs, rhs),
             VERDICTS[code],
             self.seeds[i],
             self.sets_at(i),
@@ -371,7 +371,7 @@ class ReportBlock:
             slot(numbers(self.lhs)),
             slot(numbers(self.rhs)),
             slot([
-                "null" if code == NOT_MET_CODE else float.__repr__(lhs / rhs)
+                "null" if code == _NOT_MET_CODE else float.__repr__(lhs / rhs)
                 for code, lhs, rhs in zip(self.verdicts, self.lhs, self.rhs)
             ]),
             slot(map(verdicts.__getitem__, self.verdicts)),
