@@ -89,6 +89,8 @@ def test_block_lines_are_json_dumps_of_its_reports(block):
         rep = block.report(i)
         assert line == dumps(rep.to_json_dict()) + "\n" == rep.to_json_line() + "\n"
         assert rep.ratio == ratios.get(i)
+        # the block's gate rule is gates_hold on the row's own bound rows
+        assert (rep.verdict == "hypothesis_not_met") == (not rep.gates_ok)
     run = ReportRun(map(block.report, range(len(block))))
     assert block.verdict_counts() == run.verdict_counts()
     assert ratios == {row: Fraction(num, den) for row, num, den in run.ratio_rows()}
