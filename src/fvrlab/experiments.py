@@ -490,9 +490,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[ReportList, dict]:
 def summarize(config: ExperimentConfig, reports: ReportList, inputs: int) -> dict:
     """Verdict counts and exact ratio extremes and mean, folded part by part.
 
-    Ratios compare by
-    integer cross-multiplication, and argmin_sets are the sets of the first
-    report (in input order) with the least ratio.  The mean is the sum,
+    Each part gives its verdict counts and its ratio rows.  Ratios compare
+    by integer cross-multiplication, and argmin_sets are the sets of the
+    first report (in input order) with the least ratio.  The mean is the sum,
     over each denominator, of the numerators above it, so a block adds up
     in plain ints.
     """
