@@ -80,6 +80,14 @@ CASES = {
         "27fbc670c4f6dbfb207e13bfe175896825dd4484089502fdbf803d8acdf02372",
         "b3d4512be166b091f2d3170f6051609c4b8ec6dec66aa662fd54ee8b5eae26f4",
     ),
+    # one slot past size 1: ranks cross from size 2 into size 3
+    "T1_5-exhaustive-3-z27": (
+        ["check", "T1_5", "--ring", "zpr:p=3,r=3", "--mode", "exhaustive:3",
+         "--out", "z27.jsonl"],
+        None, "z27.jsonl", 0,
+        "f1a1a0b89fc24d78d3dce83898e21424a3df2ea1080a8af97720a1dbda543fb1",
+        "75ac08fa0e5ff57df6222ccedb7cd83859f6ba02ced2b40c9788109dfa251f5b",
+    ),
     "T1_6-random-csv": (
         ["check", "T1_6", "--ring", "zpr:p=3,r=2", "--mode", "random:5:20", "--seed", "7",
          "--out", "r.csv", "--format", "csv"],
@@ -148,6 +156,12 @@ CASES = {
         None, None, 0,
         "697a5be9a4ed7a2851884faee8fc86a5e40b955e48c98e923cbf6bc85146ab9a",
         "34b8c454875d4115d1ee331a826a88d058d70d0b7a09438ae5b5c6b13eb0f211",
+    ),
+    "T7_1-geometry-exhaustive": (
+        ["geometry", "--ring", "zpr:p=3,r=2", "--mode", "exhaustive:2"],
+        None, None, 0,
+        "56e35a41207b4f15e7440cd09a8891ebd84b6d66d79c0b84de4e230f790a5250",
+        "60c0be0f8843e945a0f6e57388d76274c990dacb2552d76850b5965e10c4402b",
     ),
     "T7_1-geometry-single": (
         ["geometry", "--ring", "zpr:p=3,r=1", "--A", "0,1"],
