@@ -16,7 +16,6 @@ from .report import (
     BoundRow,
     CheckReport,
     ReportBlock,
-    gates_hold,
     gates_hold_columns,
     literals_or_digests,
     set_literal_or_digest,
@@ -28,7 +27,6 @@ from .setalg import (
     diffset,
     dilate,
     energy,
-    image_quad3,
     image_quad3_sizes,
     poly1_table,
     power_set,
@@ -79,41 +77,38 @@ def expander_rule(q: int, r: int, deg_T: int, na, nb, nc, image=None):
 def check_expander(
     spec: QuadPolySpec, A: RSet, B: RSet, C: RSet, seed: int | None = None
 ) -> CheckReport:
-    """Image lower bound for a*x*y + R(x) + S(y) + T(z), constant 1/8; see expander_rule."""
+    """Image lower bound for a*x*y + R(x) + S(y) + T(z), constant 1/8; see expander_rule.
+
+    The one-row block of expander_reports.
+    """
     _require_nonempty(A, B, C)
-    ring = _same_ring(A, B, C)
-    if spec.ring != ring:
+    if spec.ring != _same_ring(A, B, C):
         raise ValueError("polynomial and sets live in different rings")
-    sizes = ([len(A)], [len(B)], [len(C)])
-    gates, *_ = expander_rule(ring.q, ring.r, spec.deg_T, *sizes)
-    rows = [col.row(0) for col in gates]
-    sets = {"f": spec.literal}
-    sets.update(zip("ABC", (set_literal_or_digest(X) for X in (A, B, C))))
-    if not gates_hold(rows):
-        return CheckReport.conclude("T1_3", ring, rows, sets, seed)
-    image = len(image_quad3(spec, A, B, C))
-    sets["image_size"] = str(image)
-    _, lhs, rhs, holds = expander_rule(ring.q, ring.r, spec.deg_T, *sizes, [image])
-    return CheckReport.conclude("T1_3", ring, rows, sets, seed, lhs[0], rhs[0], holds[0])
+    return expander_reports(spec, A.mask[None], B.mask[None], C.mask[None], [seed]).report(0)
 
 
 def expander_reports(spec: QuadPolySpec, A, B, C, seeds) -> ReportBlock:
-    """check_expander on every row of (rows, order) bool masks, with one image kernel.
+    """T1_3 on every row of (rows, order) bool masks, with one image kernel.
 
-    Row i of the block is the report of check_expander(spec, A_i, B_i, C_i,
-    seeds[i]); every row must be nonempty.  Only rows whose gates hold are
+    Row i of the block is the report of the sets A_i, B_i, C_i with seed
+    seeds[i]; every row must be nonempty.  Only rows whose gates hold are
     sized.
     """
-    ring = spec.ring
-    sizes = [M.sum(axis=1).tolist() for M in (A, B, C)]
+    ring, n = spec.ring, len(seeds)
+    stack = np.concatenate((A, B, C))  # the three slots, one after another
+
+    def thirds(column):
+        return column[:n], column[n : 2 * n], column[2 * n :]
+
+    sizes = thirds(stack.sum(axis=1).tolist())
     gates, *_ = expander_rule(ring.q, ring.r, spec.deg_T, *sizes)
-    gated = np.array(gates_hold_columns(gates, len(seeds)), dtype=bool)
-    images = np.zeros(len(seeds), dtype=np.int64)
+    gated = np.array(gates_hold_columns(gates, n), dtype=bool)
+    images = np.zeros(n, dtype=np.int64)
     images[gated] = image_quad3_sizes(spec, A[gated], B[gated], C[gated])
     images = images.tolist()
     gates, lhs, rhs, holds = expander_rule(ring.q, ring.r, spec.deg_T, *sizes, images)
-    sets = {"f": [spec.literal] * len(seeds)}
-    sets.update(zip("ABC", (literals_or_digests(M) for M in (A, B, C))))
+    sets = {"f": [spec.literal] * n}
+    sets.update(zip("ABC", thirds(literals_or_digests(stack))))
     sets["image_size"] = [str(m) if ok else None for m, ok in zip(images, gated.tolist())]
     return ReportBlock.conclude("T1_3", ring, gates, sets, seeds, lhs, rhs, holds)
 

@@ -12,18 +12,18 @@ An experiment is a pure function of its config.  Determinism rules:
   (workers only split contiguous ranges, set via the FVRLAB_WORKERS
   environment variable).
 
-A range of inputs is walked in blocks of BLOCK_ELEMS // order inputs.  A
-random mode draws the sets of a whole block at once: sample_subsets runs
-the generator on every trial and slot seed of the block together, each row
-equal to the scalar draw, and each slot becomes one (rows, order)
-membership mask.  A theorem with a block path (T1_3) takes the masks
-whole; its exhaustive mode looks them up in a rank-order table of every
-subset.  One kernel then sizes the image of every row, the same size rule
-as check_expander gives every row's sides, and the block's reports stay
-columns: a ReportBlock, which workers pickle as a few lists and --out
-renders from one template.  Every other theorem gets one RSet per slot and
-input through _run_input, and its block is a ReportRun: a list of
-CheckReports with the same part methods as a ReportBlock.
+A range of inputs is walked in blocks of BLOCK_ELEMS // order inputs, and
+_block_sets is the one place that builds set inputs: one (rows, order)
+membership mask per slot.  A single check is one row parsed from the
+A/B/C literals; an exhaustive block unranks its positions straight into
+masks; a random block runs sample_subsets on every trial and slot seed
+together, each row equal to the scalar draw.  A theorem with a block path
+(T1_3) takes the masks whole: one kernel sizes the image of every row, and
+the block's reports stay columns, a ReportBlock, which workers pickle as a
+few lists and --out renders from one template.  Every other set theorem
+gets one RSet per slot and row through _run_input, and its block is a
+ReportRun: a list of CheckReports with the same part methods as a
+ReportBlock.  Point and plane families (T2_2, T2_4) are built per input.
 
 run_experiment returns the blocks as a ReportList, which builds a
 CheckReport only when one is indexed or iterated.  summarize folds the
@@ -43,7 +43,6 @@ exceed 10**7.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -56,7 +55,6 @@ import numpy as np
 
 from .checks import (
     check_cube_sum,
-    check_expander,
     check_f_of_A_plus_A,
     check_plunnecke_corollary,
     check_power_energy,
@@ -158,7 +156,7 @@ def _quadspec_of(ring_spec: str, literal: str):
     return parse_quadpoly(_ring_of(ring_spec), literal)
 
 
-def _poly1_of(ring: Ring, literal: str) -> tuple[int, int, int]:
+def _poly1_of(literal: str) -> tuple[int, int, int]:
     toks = literal.split(",")
     if len(toks) != 3:
         raise ValueError("poly1 must be 'c2,c1,c0'")
@@ -185,42 +183,32 @@ def subsets_up_to(n: int, max_size: int) -> int:
     return _size_offsets(n, max_size)[-1]
 
 
-def unrank_combination(n: int, k: int, rank: int) -> tuple[int, ...]:
-    """rank-th k-subset of range(n) in lexicographic order of sorted tuples."""
-    combo = []
-    c = 0
-    for remaining in range(k, 0, -1):
-        while math.comb(n - c - 1, remaining - 1) <= rank:
-            rank -= math.comb(n - c - 1, remaining - 1)
-            c += 1
-        combo.append(c)
-        c += 1
-    return tuple(combo)
-
-
-def subset_by_rank(ring: Ring, max_size: int, rank: int) -> RSet:
-    offsets = _size_offsets(ring.order, max_size)
-    k = next(i + 1 for i, off in enumerate(offsets) if rank < off)
-    base = offsets[k - 2] if k >= 2 else 0
-    return RSet.from_indices(ring, unrank_combination(ring.order, k, rank - base))
-
-
 def exhaustive_budget(n: int, max_size: int, slots: int) -> int:
     return subsets_up_to(n, max_size) ** slots
 
 
-@lru_cache(maxsize=8)
-def _subset_masks(n: int, max_size: int) -> np.ndarray:
-    """Membership masks of every subset of size <= max_size, in rank order.
+def _rank_masks(n: int, max_size: int, ranks: np.ndarray) -> np.ndarray:
+    """(rows, n) membership masks of the subsets of range(n) with these ranks.
 
-    Only block theorems read it, and they have three slots, so the budget
-    keeps it below 215 rows of at most 215 elements.
+    Ranks count subsets of size <= max_size in (size, lex) order.  A k-subset
+    of lex rank L is the mirror image, x -> n - 1 - x, of the k-subset of
+    colex rank C(n, k) - 1 - L, whose members the combinatorial number
+    system gives greedily from the top: one searchsorted per member position
+    on the row C(., i) of a binomial table.
     """
-    masks = np.zeros((subsets_up_to(n, max_size), n), dtype=bool)
-    combos = (c for k in range(1, max_size + 1) for c in itertools.combinations(range(n), k))
-    for row, combo in enumerate(combos):
-        masks[row, combo] = True
-    masks.flags.writeable = False
+    bounds = np.array((0, *_size_offsets(n, max_size)))  # first rank of each size, then the end
+    sizes = bounds.searchsorted(ranks, side="right")
+    comb = np.zeros((max_size + 1, n + 1), dtype=np.int64)  # comb[i, x] = C(x, i)
+    comb[0] = 1
+    for i in range(1, max_size + 1):
+        comb[i, 1:] = comb[i - 1, :-1].cumsum()  # C(x, i) = sum of C(y, i - 1), y < x
+    colex = comb[sizes, n] - 1 - (ranks - bounds[sizes - 1])
+    masks = np.zeros((len(ranks), n), dtype=bool)
+    for i in range(max_size, 0, -1):
+        rows = np.flatnonzero(sizes >= i)
+        top = comb[i].searchsorted(colex[rows], side="right") - 1
+        colex[rows] -= comb[i, top]
+        masks[rows, n - 1 - top] = True
     return masks
 
 
@@ -258,10 +246,6 @@ def _expander_spec(config: ExperimentConfig):
     return _quadspec_of(config.ring_spec, config.f)
 
 
-def _expander(config: ExperimentConfig, ring: Ring, sets, seed):
-    return [check_expander(_expander_spec(config), *sets, seed=seed)]
-
-
 def _expander_block(config: ExperimentConfig, ring: Ring, masks, seeds):
     return expander_reports(_expander_spec(config), *masks, seeds)
 
@@ -269,7 +253,7 @@ def _expander_block(config: ExperimentConfig, ring: Ring, masks, seeds):
 def _shifted_image(config: ExperimentConfig, ring: Ring, sets, seed):
     if config.poly1 is None:
         raise ValueError("T1_7 needs a quadratic (poly1)")
-    return [check_f_of_A_plus_A(_poly1_of(ring, config.poly1), sets[0], seed=seed)]
+    return [check_f_of_A_plus_A(_poly1_of(config.poly1), sets[0], seed=seed)]
 
 
 def _weighted_incidences(config: ExperimentConfig, ring: Ring, families, seed):
@@ -292,18 +276,19 @@ class Theorem:
     """What a sweep needs to know about one theorem id."""
 
     slots: int  # set slots per input; 0 for one point family and one plane family
-    run: Callable  # (config, ring, sets or (points, planes), seed) -> reports
+    # (config, ring, sets or (points, planes), seed) -> reports of one input
+    run: Callable | None = None
     units_only: bool = False  # random sets are drawn from the units
     reads: tuple[str, ...] = ()  # config keys read beyond _COMMON_KEYS and the set slots
     # (config, ring, one (rows, order) mask per slot, seeds) -> reports of a
-    # block of mode inputs; without it each input goes through run
+    # block of inputs; without it each input goes through run
     block: Callable | None = None
 
 
 # The entries look the checks up by name at call time, so a wrapper put on
 # a module attribute (a tracer, a test double) sees every call.
 THEOREMS = {
-    "T1_3": Theorem(3, _expander, reads=("f",), block=_expander_block),
+    "T1_3": Theorem(3, reads=("f",), block=_expander_block),
     "T1_5": Theorem(1, lambda config, ring, sets, seed: [check_sum_square(sets[0], seed=seed)]),
     "T1_6": Theorem(1, lambda config, ring, sets, seed: [check_cube_sum(sets[0], seed=seed)]),
     "T1_7": Theorem(1, _shifted_image, reads=("poly1",)),
@@ -335,26 +320,16 @@ THEOREMS = {
 
 
 def _run_input(config: ExperimentConfig, ring: Ring, index: int, sets=None) -> list[CheckReport]:
-    """The reports of one input; a random mode's sets come drawn by _run_range."""
+    """The reports of one input of a theorem without a block path.
+
+    A set theorem's sets come from _block_sets; a family theorem builds its
+    point and plane families here.
+    """
     theorem = THEOREMS[config.theorem]
     if theorem.slots == 0:
         return theorem.run(config, ring, *_family_pair(config, ring, index))
-    seed = None
-    if config.mode is None:
-        sets = []
-        for name in ("A", "B", "C")[: theorem.slots]:
-            lit = config.literals.get(name)
-            if lit is None:
-                raise ValueError(f"{config.theorem} needs an explicit set {name} (or a mode)")
-            sets.append(parse_set_literal(ring, lit))
-    elif config.mode.kind == "exhaustive":
-        sets = [
-            subset_by_rank(ring, config.mode.max_size, rank)
-            for rank in _slot_ranks(ring, config.mode.max_size, theorem.slots, index)
-        ]
-    else:
-        seed = mix64(config.seed, index)
-    return theorem.run(config, ring, sets, seed)
+    drawn = config.mode is not None and config.mode.kind == "random"
+    return theorem.run(config, ring, sets, mix64(config.seed, index) if drawn else None)
 
 
 def _slot_ranks(ring: Ring, max_size: int, slots: int, index):
@@ -381,6 +356,11 @@ def _random_masks(config: ExperimentConfig, ring: Ring, seeds: np.ndarray) -> li
 
 def input_count(config: ExperimentConfig, ring: Ring) -> int:
     if config.mode is None:
+        if "all" in (config.points, config.planes) and ring.order**3 > EXHAUSTIVE_BUDGET:
+            raise ValueError(
+                f"points/planes = all would take {ring.order**3} triples"
+                f" (budget {EXHAUSTIVE_BUDGET})"
+            )
         return 1
     slots = THEOREMS[config.theorem].slots
     if config.mode.kind == "exhaustive":
@@ -437,23 +417,29 @@ def _run_range(config: ExperimentConfig, lo: int, hi: int) -> list:
 
 
 def _block_sets(config: ExperimentConfig, ring: Ring, indices: range):
-    """(one (rows, order) mask per slot, seeds) of a block of mode inputs.
+    """(one (rows, order) mask per slot, seeds) of a block of inputs.
 
-    None where each input builds its own sets: single checks, point and
-    plane families, and exhaustive sweeps of theorems without a block path.
+    A single check is one row parsed from the A/B/C literals, an exhaustive
+    block unranks its positions and a random block draws them.  None for a
+    theorem of point and plane families, which builds them per input.
     """
     theorem, mode = THEOREMS[config.theorem], config.mode
-    if mode is None or theorem.slots == 0:
+    if theorem.slots == 0:
         return None
+    if mode is None:
+        masks = []
+        for name in ("A", "B", "C")[: theorem.slots]:
+            lit = config.literals.get(name)
+            if lit is None:
+                raise ValueError(f"{config.theorem} needs an explicit set {name} (or a mode)")
+            masks.append(parse_set_literal(ring, lit).mask[None])
+        return masks, [None]
     positions = np.arange(indices.start, indices.stop)
     if mode.kind == "random":
         seeds = mix64_arr(config.seed, positions)
         return _random_masks(config, ring, seeds), seeds.tolist()
-    if theorem.block is None:
-        return None
-    table = _subset_masks(ring.order, mode.max_size)
     ranks = _slot_ranks(ring, mode.max_size, theorem.slots, positions)
-    return [table[rank] for rank in ranks], [None] * len(positions)
+    return [_rank_masks(ring.order, mode.max_size, r) for r in ranks], [None] * len(positions)
 
 
 def _run_range_star(args):

@@ -469,8 +469,8 @@ def set_literal_or_digest(rset) -> str:
 
 def literals_or_digests(masks: np.ndarray) -> list[str]:
     """set_literal_or_digest of every row of a (rows, order) bool membership mask."""
-    rows, members = np.nonzero(masks)
-    ends = np.cumsum(np.bincount(rows, minlength=len(masks))).tolist()
+    rows, members = masks.nonzero()
+    ends = np.bincount(rows, minlength=len(masks)).cumsum().tolist()
     members = members.tolist()
     out, lo = [], 0
     for row, hi in enumerate(ends):

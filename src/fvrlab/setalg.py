@@ -258,18 +258,14 @@ def poly1_table(ring: Ring, coeffs: tuple[int, int, int]) -> np.ndarray:
 def image_quad3(spec: QuadPolySpec, A: RSet, B: RSet, C: RSet) -> RSet:
     """Exact image {a*x*y + R(x) + S(y) + T(z) : x in A, y in B, z in C}.
 
-    T(z) varies independently of (x, y), so the image is computed as the
-    two-variable part followed by a sumset with T(C); the result is the same
-    set the triple loop produces.
+    The one-row block of _image_masks.
     """
     ring = _same_ring(A, B, C)
     if ring != spec.ring:
         raise ValueError("sets live in a different ring than the polynomial")
     if not (len(A) and len(B) and len(C)):
         raise ValueError("image needs nonempty A, B, C")
-    u = np.unique(_two_var(spec, A.members[:, None], B.members[None, :]))
-    v = np.unique(_poly_table(ring, spec.T)[C.members])
-    return _scatter(ring, ring.add_arr(u[:, None], v[None, :]))
+    return RSet(ring, _image_masks(spec, A.mask[None], B.mask[None], C.mask[None])[0])
 
 
 def _two_var(spec: QuadPolySpec, x, y) -> np.ndarray:
@@ -295,41 +291,46 @@ def _row_pairs(X: np.ndarray, Y: np.ndarray, op) -> np.ndarray:
     evaluated BLOCK_ELEMS at a time.
     """
     out = np.zeros(X.shape, dtype=bool)
-    x_rows, xs = np.nonzero(X)
+    x_rows, xs = X.nonzero()
+    ys = Y.nonzero()[1]
     y_count = Y.sum(axis=1)
-    y_start = np.cumsum(y_count) - y_count
-    ys = np.nonzero(Y)[1]
     per_x = y_count[x_rows]
-    ends = np.cumsum(per_x)
+    ends = per_x.cumsum()
+    # pair p of x entry e meets y entry p + shift[e]
+    shift = (y_count.cumsum() - y_count)[x_rows] - ends + per_x
     total = int(ends[-1]) if len(ends) else 0
     for lo in range(0, total, BLOCK_ELEMS):
         pair = np.arange(lo, min(total, lo + BLOCK_ELEMS))
-        x = np.searchsorted(ends, pair, side="right")
-        row = x_rows[x]
-        y = y_start[row] + pair - (ends[x] - per_x[x])
-        out[row, op(xs[x], ys[y])] = True
+        x = ends.searchsorted(pair, side="right")
+        out[x_rows[x], op(xs[x], ys[pair + shift[x]])] = True
     return out
+
+
+def _image_masks(spec: QuadPolySpec, A: np.ndarray, B: np.ndarray, C: np.ndarray):
+    """Mask of the image of a*x*y + R(x) + S(y) + T(z) on every row of a block.
+
+    T(z) varies independently of (x, y), so each stage is deduplicated
+    through a mask before the next product: the two-variable values of
+    A_i x B_i, then their sums with T(C_i).
+    """
+    ring = spec.ring
+    two_var = _row_pairs(A, B, lambda x, y: _two_var(spec, x, y))
+    rows, zs = C.nonzero()
+    t_of_c = np.zeros(two_var.shape, dtype=bool)
+    t_of_c[rows, _poly_table(ring, spec.T)[zs]] = True
+    return _row_pairs(two_var, t_of_c, ring.add_arr)
 
 
 def image_quad3_sizes(spec: QuadPolySpec, A: np.ndarray, B: np.ndarray, C: np.ndarray):
     """|image_quad3(spec, A_i, B_i, C_i)| for every row i of (rows, order) masks.
 
-    Like image_quad3, each stage is deduplicated through a mask before the
-    next product: the two-variable values of A_i x B_i, then their sums
-    with T(C_i).  Rows run BLOCK_ELEMS // order at a time.
+    Rows run BLOCK_ELEMS // order at a time through _image_masks.
     """
-    ring = spec.ring
-    n = ring.order
-    tt = _poly_table(ring, spec.T)
     sizes = np.empty(len(A), dtype=np.int64)
-    step = max(1, BLOCK_ELEMS // n)
+    step = max(1, BLOCK_ELEMS // spec.ring.order)
     for lo in range(0, len(A), step):
         block = slice(lo, lo + step)
-        two_var = _row_pairs(A[block], B[block], lambda x, y: _two_var(spec, x, y))
-        rows, zs = np.nonzero(C[block])
-        t_of_c = np.zeros(two_var.shape, dtype=bool)
-        t_of_c[rows, tt[zs]] = True
-        sizes[block] = _row_pairs(two_var, t_of_c, ring.add_arr).sum(axis=1)
+        sizes[block] = _image_masks(spec, A[block], B[block], C[block]).sum(axis=1)
     return sizes
 
 

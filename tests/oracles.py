@@ -7,11 +7,16 @@ The vectorized references, hit_collinear_triples and orbit_lines, are for
 grids too large for the scalar loops.
 """
 
+import math
 from collections import Counter
 from itertools import product
 
 import numpy as np
 from sympy import Abs, Integer, Max, Min, Pow, Rational, false, root, sqrt, sympify, true
+
+from fvrlab.checks import expander_rule
+from fvrlab.report import CheckReport, gates_hold, set_literal_or_digest
+from fvrlab.setalg import RSet
 
 
 def slow_mul(ring, a, b):
@@ -72,6 +77,46 @@ def brute_image_quad3(spec, A, B, C):
             for z in C.indices():
                 out.add(rg.add(base, ev(spec.T, z)))
     return out
+
+
+def scalar_check_expander(spec, A, B, C, seed=None):
+    """The T1_3 report of one triple of sets, one row at a time, its image
+    counted by brute_image_quad3 (see checks.expander_rule)."""
+    ring = spec.ring
+    sizes = ([len(A)], [len(B)], [len(C)])
+    gates, *_ = expander_rule(ring.q, ring.r, spec.deg_T, *sizes)
+    rows = [col.row(0) for col in gates]
+    sets = {"f": spec.literal}
+    sets.update(zip("ABC", (set_literal_or_digest(X) for X in (A, B, C))))
+    if not gates_hold(rows):
+        return CheckReport.conclude("T1_3", ring, rows, sets, seed)
+    image = len(brute_image_quad3(spec, A, B, C))
+    sets["image_size"] = str(image)
+    _, lhs, rhs, holds = expander_rule(ring.q, ring.r, spec.deg_T, *sizes, [image])
+    return CheckReport.conclude("T1_3", ring, rows, sets, seed, lhs[0], rhs[0], holds[0])
+
+
+def unrank_combination(n, k, rank):
+    """rank-th k-subset of range(n) in lexicographic order of sorted tuples."""
+    combo = []
+    c = 0
+    for remaining in range(k, 0, -1):
+        while math.comb(n - c - 1, remaining - 1) <= rank:
+            rank -= math.comb(n - c - 1, remaining - 1)
+            c += 1
+        combo.append(c)
+        c += 1
+    return tuple(combo)
+
+
+def subset_by_rank(ring, max_size, rank):
+    """rank-th subset of size <= max_size in (size, lex) order, one size at a time."""
+    for k in range(1, max_size + 1):
+        count = math.comb(ring.order, k)
+        if rank < count:
+            return RSet.from_indices(ring, unrank_combination(ring.order, k, rank))
+        rank -= count
+    raise ValueError(f"rank past the subsets of size <= {max_size}")
 
 
 def brute_image_shifted_quad(ring, f, X, Y, Z):

@@ -197,6 +197,27 @@ def test_uniform_weights_do_not_read_max_weight(monkeypatch, capsys):
     assert code == 0 and json.loads(out.splitlines()[0])["theorem"] == "T2_4"
 
 
+def test_all_points_past_the_budget_are_refused_up_front(monkeypatch, capsys):
+    # points = all once allocated all order**3 triples, about 387M on Z_729
+    def no_family(*args):
+        raise AssertionError("a family was built before its size was refused")
+
+    monkeypatch.setattr(experiments, "_family", no_family)
+    for argv in (
+        ["check", "T2_2", "--ring", "zpr:p=3,r=6", "--points", "all", "--planes", "all"],
+        ["check", "T2_4", "--ring", "zpr:p=3,r=5", "--points", "all", "--planes", "5"],
+        ["check", "T2_2", "--ring", "zpr:p=3,r=5", "--points", "5", "--planes", "all"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "(budget 10000000)" in err, argv
+    # 125**3 triples fit the budget
+    ring_spec = "zpr:p=5,r=3"
+    config = experiments.ExperimentConfig(
+        theorem="T2_2", ring_spec=ring_spec, points="all", planes="all"
+    )
+    assert experiments.input_count(config, parse_ring_spec(ring_spec)) == 1
+
+
 def test_seed_must_fit_64_bits(capsys):
     base = ["check", "T1_5", "--ring", "zpr:p=3,r=2", "--mode", "random:6:2"]
     for seed in ("18446744073709551617", "-5"):  # once aliased seeds 1 and 2**64 - 5

@@ -4,10 +4,10 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fvrlab import experiments
-from fvrlab.checks import check_expander
 from fvrlab.cli import main
 from fvrlab.experiments import (
     EXHAUSTIVE_BUDGET,
@@ -19,15 +19,13 @@ from fvrlab.experiments import (
     parse_config_lines,
     parse_mode,
     run_experiment,
-    subset_by_rank,
     subsets_up_to,
-    unrank_combination,
 )
 from fvrlab.report import CheckReport, ReportBlock, ReportList, ReportRun
 from fvrlab.ring import parse_ring_spec
 from fvrlab.sampling import mix64, sample_subset
 from fvrlab.setalg import parse_quadpoly
-from oracles import summarize_reports
+from oracles import scalar_check_expander, subset_by_rank, summarize_reports, unrank_combination
 
 Z9 = "zpr:p=3,r=2"
 
@@ -59,6 +57,23 @@ def test_subset_by_rank_enumerates_size_then_lex():
     assert seen[:9] == [(i,) for i in range(9)]
     assert seen[9:] == list(itertools.combinations(range(9), 2))
     assert len(set(seen)) == span
+
+
+@pytest.mark.parametrize("n, k", [(9, 2), (7, 4), (9, 3), (12, 5), (27, 2), (5, 5)])
+def test_rank_masks_match_itertools(n, k):
+    expected = [c for size in range(1, k + 1) for c in itertools.combinations(range(n), size)]
+    masks = experiments._rank_masks(n, k, np.arange(subsets_up_to(n, k)))
+    assert masks.shape == (len(expected), n)
+    assert [tuple(np.flatnonzero(row)) for row in masks] == expected
+
+
+def test_rank_masks_of_a_range_starting_inside_a_size():
+    ring = parse_ring_spec("zpr:p=3,r=3")
+    ranks = np.arange(400, 1200)  # sizes 2 and 3, from inside size 2
+    masks = experiments._rank_masks(27, 3, ranks)
+    assert [tuple(np.flatnonzero(row)) for row in masks] == [
+        tuple(subset_by_rank(ring, 3, rank).indices()) for rank in ranks.tolist()
+    ]
 
 
 def test_budget_gate():
@@ -137,11 +152,11 @@ def scalar_expander(config, index):
         seed = mix64(config.seed, index)
         sizes = config.mode.sizes
         sets = [sample_subset(ring, k, mix64(seed, slot)) for slot, k in enumerate(sizes)]
-        return check_expander(spec, *sets, seed=seed)
+        return scalar_check_expander(spec, *sets, seed=seed)
     span = subsets_up_to(ring.order, config.mode.max_size)
     ranks = [index // span**2, index // span % span, index % span]
     sets = [subset_by_rank(ring, config.mode.max_size, rank) for rank in ranks]
-    return check_expander(spec, *sets)
+    return scalar_check_expander(spec, *sets)
 
 
 @pytest.mark.parametrize(
