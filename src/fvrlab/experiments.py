@@ -38,7 +38,8 @@ and config_from_fields alike, a key that the theorem or mode does not read.
 
 Exhaustive sweeps are capped by a documented budget: the total number of
 check evaluations, (sum of C(n, k) for k = 1..max_size) ** slots, must not
-exceed 10**7.
+exceed 10**7.  The same budget caps the n**3 triples of a single family
+input with points or planes = all.
 """
 
 from __future__ import annotations
