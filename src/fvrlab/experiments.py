@@ -39,7 +39,9 @@ and config_from_fields alike, a key that the theorem or mode does not read.
 Exhaustive sweeps are capped by a documented budget: the total number of
 check evaluations, (sum of C(n, k) for k = 1..max_size) ** slots, must not
 exceed 10**7.  The same budget caps the n**3 triples of a single family
-input with points or planes = all.
+input with points or planes = all, and the m(m - 1)/2 grid pairs, m =
+|A|**2, that one T7_1 input keys at once (so |A| <= 66), for random sizes
+and a literal A alike.
 """
 
 from __future__ import annotations
@@ -355,6 +357,16 @@ def _random_masks(config: ExperimentConfig, ring: Ring, seeds: np.ndarray) -> li
     ]
 
 
+def _refuse_grid_pairs(size: int) -> None:
+    """T7_1's orbit pass keys every pair of the |A|**2 grid points at once."""
+    m = size * size
+    if m * (m - 1) // 2 > EXHAUSTIVE_BUDGET:
+        raise ValueError(
+            f"T7_1 on |A| = {size} would take {m * (m - 1) // 2} grid pairs"
+            f" (budget {EXHAUSTIVE_BUDGET})"
+        )
+
+
 def input_count(config: ExperimentConfig, ring: Ring) -> int:
     if config.mode is None:
         if "all" in (config.points, config.planes) and ring.order**3 > EXHAUSTIVE_BUDGET:
@@ -362,6 +374,8 @@ def input_count(config: ExperimentConfig, ring: Ring) -> int:
                 f"points/planes = all would take {ring.order**3} triples"
                 f" (budget {EXHAUSTIVE_BUDGET})"
             )
+        if config.theorem == "T7_1" and "A" in config.literals:
+            _refuse_grid_pairs(len(parse_set_literal(ring, config.literals["A"])))
         return 1
     slots = THEOREMS[config.theorem].slots
     if config.mode.kind == "exhaustive":
@@ -387,6 +401,8 @@ def input_count(config: ExperimentConfig, ring: Ring) -> int:
             raise ValueError(f"unit subset size {size} out of range [1, {ring.units_count}]")
         if slots and size > ring.order:
             raise ValueError(f"subset size {size} out of range [1, {ring.order}]")
+        if config.theorem == "T7_1":
+            _refuse_grid_pairs(size)
     return config.mode.trials
 
 

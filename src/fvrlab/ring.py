@@ -29,10 +29,13 @@ already realizes every (q, r) shape, which is all the experiments need.
 Each ring family has one arithmetic path.  ``zpr`` adds, negates and
 multiplies indices modulo p**r.  ``fqxr`` adds and negates base-p digit
 arrays, and multiplies coefficient by coefficient, each residue-field
-product gathered from the field's q x q product table: up to order
-TABLE_MAX_ORDER those kernels fill int64 Cayley tables once per ring
-shape and every add/neg/mul is one gather from them; above it the kernels
-run on every call.  Scalar ops on ``fqxr`` are the array ops on 0-d input.
+product gathered from the field's q x q product table, whose entries are
+discrete-log gathers.  Up to order TABLE_MAX_ORDER every add/neg/mul is
+one gather from an int64 Cayley table built once per ring shape: the mul
+table by the kernel, the add and neg tables from their p (x p) digit table,
+since the additive group is (Z/p)**(r*s) digit by digit.  Above it the
+kernels run on every call.  Scalar ops on ``fqxr`` are the array ops on
+0-d input.
 """
 
 from __future__ import annotations
@@ -162,24 +165,34 @@ class Ring:
     use them.  Scalar operations take and return plain ints; on ``fqxr``
     they are the ``*_arr`` operations on 0-d input.  An ``fqxr`` ring of
     order <= TABLE_MAX_ORDER gathers add/neg/mul from Cayley tables that
-    equal rings share; a larger one runs the digit kernels on every call,
-    so its scalar ops pay numpy's per-call overhead for each digit.
+    equal rings share (add and neg composed digit by digit from the digit
+    kernels' p-element tables, mul filled by the kernel); a larger one runs
+    the digit kernels on every call, so its scalar ops pay numpy's per-call
+    overhead for each digit.  Residue-field products are discrete-log
+    gathers at every order.  The constructor refuses p, s and r past
+    ``max_order`` before any primality test or power is computed.
     """
 
     def __init__(self, kind: str, p: int, s: int, r: int, max_order: int):
         if kind not in ("zpr", "fqxr"):
             raise ValueError(f"unknown ring kind {kind!r}")
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if p == 2:
-            raise ValueError("p must be odd (2 has to be a unit)")
         if s < 1 or r < 1:
             raise ValueError("s and r must be >= 1")
         if kind == "zpr" and s != 1:
             raise ValueError("zpr rings have s = 1; use fqxr for s > 1")
-        order = p ** (s * r)
-        if order > max_order:
-            raise ValueError(f"order {p}**{s * r} = {order} exceeds cap {max_order}")
+        # the cap comes before trial division and before p**(s*r), so a huge
+        # p, s or r is refused at once
+        if p > max_order:
+            raise ValueError(f"p = {p} exceeds the order cap {max_order}")
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if p == 2:
+            raise ValueError("p must be odd (2 has to be a unit)")
+        order = 1
+        for _ in range(s * r):
+            order *= p
+            if order > max_order:
+                raise ValueError(f"order {p}**{s * r} exceeds cap {max_order}")
         self.kind = kind
         self.p = p
         self.s = s
@@ -443,6 +456,12 @@ class Ring:
         return out
 
     def _field_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products of residue-field indices in [0, q), by discrete log:
+        exp[log[a] + log[b]], see _field_logs."""
+        log, exp = self._field_logs()
+        return exp[log[a] + log[b]]
+
+    def _field_conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Products of residue-field indices in [0, q): the s x s convolution
         of their base-p digits, reduced mod the field modulus."""
         s, p = self.s, self.p
@@ -460,6 +479,45 @@ class Ring:
             for j in range(s)
         )
 
+    def _field_logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Discrete log and antilog tables of the residue field.
+
+        g is the least field index whose q - 1 powers are distinct (none of
+        g**1 .. g**(q-2) is 1), so it generates the cyclic group F_q^*.
+        Powers are built by doubling, g**(k..2k-1) = g**(0..k-1) * g**k, each
+        step one _field_conv call, for a batch of candidates at once (one row
+        each, the batch doubling up to 2**15 // q rows); a batch stops once
+        every row has met 1.  log[g**i] = i and log[0] = 2q - 3; exp[i] =
+        g**(i mod (q - 1)) below 2q - 3 and 0 from there on, so
+        exp[log[a] + log[b]] = a * b on every pair, zero included.  Built
+        once per ring shape, in O(q) space.
+        """
+        tables = _TABLES.setdefault(self.key, {})
+        if "logs" not in tables:
+            q = self.q
+            lo, batch = 2, 1  # candidates lo .. lo + batch - 1, one row of powers each
+            while lo < q:
+                g = np.arange(lo, min(q, lo + batch), dtype=np.int64)[:, None]
+                powers = np.ones((len(g), 1), dtype=np.int64)
+                while powers.shape[1] < q - 1 and not (powers[:, 1:] == 1).any(axis=1).all():
+                    step = self._field_conv(powers[:, -1:], g)
+                    powers = np.concatenate([powers, self._field_conv(powers, step)], axis=1)
+                primitive = np.flatnonzero((powers[:, 1 : q - 1] != 1).all(axis=1))
+                if len(primitive):
+                    powers = powers[primitive[0], : q - 1]
+                    break
+                lo, batch = lo + batch, min(2 * batch, max(1, (1 << 15) // q))
+            else:
+                raise AssertionError("F_q^* has no generator")  # unreachable: it is cyclic
+            log = np.empty(q, dtype=np.int64)
+            log[powers] = np.arange(q - 1)
+            log[0] = 2 * q - 3
+            exp = np.concatenate([powers, powers[: q - 2], np.zeros(2 * q - 2, dtype=np.int64)])
+            tables["logs"] = (log, exp)
+            for tab in tables["logs"]:
+                tab.flags.writeable = False
+        return tables["logs"]
+
     def _spread_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The residue field's products, spread for carry-free sums.
 
@@ -474,13 +532,10 @@ class Ring:
             p, s, q = self.p, self.s, self.q
             base = self.r * (p - 1) + 1
             u = np.arange(q, dtype=np.int64)
-            step = max(1, (1 << 15) // q)  # row blocks bound the digit temporaries
-            prod = np.concatenate(
-                [self._field_mul(u[lo : lo + step, None], u) for lo in range(0, q, step)]
-            )
+            prod = self._field_mul(u[:, None], u).reshape(-1)
             t = np.arange(base**s, dtype=np.int64)
             tables["spread"] = (
-                sum((prod.reshape(-1) // p**j % p) * base**j for j in range(s)),
+                sum((prod // p**j % p) * base**j for j in range(s)),
                 sum((t // base**j % base % p) * p**j for j in range(s)),
             )
             for tab in tables["spread"]:
@@ -491,24 +546,47 @@ class Ring:
         """kernel(*args), as one gather from its table up to TABLE_MAX_ORDER.
 
         The table holds the kernel's value at every index (pair).  It is
-        built on first use and shared by every ring with the same key.
+        built on first use and shared by every ring with the same key: the
+        mul table from the kernel in row blocks, the add and neg tables from
+        the kernel's digit table (see _digitwise_table).
         """
         if self.order > TABLE_MAX_ORDER:
             return kernel(*args)
         tables = _TABLES.setdefault(self.key, {})
         name = kernel.__name__
         if name not in tables:
-            x = np.arange(self.order, dtype=np.int64)
-            if len(args) == 1:
-                tab = kernel(x)
-            else:
-                # row blocks bound the kernel's digit temporaries
+            if name == "_mul_digits":
+                x = np.arange(self.order, dtype=np.int64)
+                # row blocks bound the kernel's temporaries
                 step = max(1, (1 << 15) // self.order)
-                blocks = [kernel(x[lo : lo + step, None], x) for lo in range(0, self.order, step)]
-                tab = np.concatenate(blocks)
+                tab = np.concatenate(
+                    [kernel(x[lo : lo + step, None], x) for lo in range(0, self.order, step)]
+                )
+            else:
+                tab = self._digitwise_table(kernel, len(args))
             tab.flags.writeable = False
             tables[name] = tab
         return tables[name][args]
+
+    def _digitwise_table(self, kernel, arity: int) -> np.ndarray:
+        """The table of a digit-by-digit kernel (add or neg) on every index.
+
+        The additive group is (Z/p)**(r*s), base-p digit k of the index being
+        coordinate k, so the table on k + 1 digits is the kernel's p (x p)
+        digit table times p**k plus the table on k digits, by broadcasting.
+        """
+        p = self.p
+        x = np.arange(p, dtype=np.int64)
+        if arity == 1:
+            digit, tab = kernel(x), np.zeros(1, dtype=np.int64)
+            for k in range(self.r * self.s):
+                tab = (digit[:, None] * p**k + tab[None, :]).reshape(-1)
+            return tab
+        digit, tab = kernel(x[:, None], x), np.zeros((1, 1), dtype=np.int64)
+        for k in range(self.r * self.s):
+            n = p ** (k + 1)
+            tab = (digit[:, None, :, None] * p**k + tab[None, :, None, :]).reshape(n, n)
+        return tab
 
     def val_arr(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)

@@ -5,6 +5,12 @@ the sorted member array, so sumsets, product sets, dilates and polynomial
 images are pairwise vectorized table operations followed by a scatter.  All
 counts are exact; nothing here ever rounds.
 
+One rule of the additive group skips pairs (_covers): |X| + |Y| > |R|
+forces X + Y = X - Y = R, so sumset, diffset, the additive stage of the
+three-variable image (row by row) and the final sum of image_shifted_quad
+return the whole ring without evaluating a pair.  Product sets never ask
+it: R is not a group under multiplication.
+
 Set literals on the wire are comma-separated canonical indices ("0,1,5").
 Quadratic polynomial data for the three-variable image a*x*y + R(x) + S(y)
 + T(z) travels as "a=<idx>;R=<c2,c1,c0>;S=<c2,c1,c0>;T=<c2,c1,c0>" where
@@ -106,15 +112,30 @@ def _scatter(ring: Ring, values: np.ndarray) -> RSet:
     return RSet(ring, mask)
 
 
+def _covers(ring: Ring, size_x, size_y):
+    """Whether |X| + |Y| > |R|, which forces X + Y = X - Y = R (elementwise).
+
+    In any finite group, g - Y (and g + Y) has |Y| members, so it meets X
+    when |X| + |Y| > |R|: g = x + y (and g = x - y) for some x in X, y in
+    Y.  Sums and differences ask it; products never do, since R is not a
+    group under multiplication.
+    """
+    return size_x + size_y > ring.order
+
+
 def sumset(A: RSet, B: RSet) -> RSet:
     """{a + b : a in A, b in B}."""
     ring = _same_ring(A, B)
+    if _covers(ring, len(A), len(B)):
+        return RSet.full(ring)
     return _scatter(ring, ring.add_arr(A.members[:, None], B.members[None, :]))
 
 
 def diffset(A: RSet, B: RSet) -> RSet:
     """{a - b : a in A, b in B}."""
     ring = _same_ring(A, B)
+    if _covers(ring, len(A), len(B)):
+        return RSet.full(ring)
     return _scatter(ring, ring.sub_arr(A.members[:, None], B.members[None, :]))
 
 
@@ -288,7 +309,8 @@ def _row_pairs(X: np.ndarray, Y: np.ndarray, op) -> np.ndarray:
     """Mask of {op(x, y) : x in X_i, y in Y_i} for every row i of two masks.
 
     The pairs of all rows are laid end to end, each row's x-major, and
-    evaluated BLOCK_ELEMS at a time.
+    evaluated BLOCK_ELEMS at a time: a slice repeats each x entry over its
+    run of pairs inside the slice.
     """
     out = np.zeros(X.shape, dtype=bool)
     x_rows, xs = X.nonzero()
@@ -296,13 +318,21 @@ def _row_pairs(X: np.ndarray, Y: np.ndarray, op) -> np.ndarray:
     y_count = Y.sum(axis=1)
     per_x = y_count[x_rows]
     ends = per_x.cumsum()
+    starts = ends - per_x
     # pair p of x entry e meets y entry p + shift[e]
-    shift = (y_count.cumsum() - y_count)[x_rows] - ends + per_x
+    shift = (y_count.cumsum() - y_count)[x_rows] - starts
     total = int(ends[-1]) if len(ends) else 0
     for lo in range(0, total, BLOCK_ELEMS):
-        pair = np.arange(lo, min(total, lo + BLOCK_ELEMS))
-        x = ends.searchsorted(pair, side="right")
-        out[x_rows[x], op(xs[x], ys[pair + shift[x]])] = True
+        hi = min(total, lo + BLOCK_ELEMS)
+        if hi - lo == total:  # one slice holds every run whole
+            first, run = 0, per_x
+        else:
+            first, last = ends.searchsorted(lo, "right"), ends.searchsorted(hi - 1, "right") + 1
+            run = ends[first:last].clip(max=hi) - starts[first:last].clip(min=lo)
+        x = np.arange(first, first + len(run)).repeat(run)
+        y = shift[x]
+        y += np.arange(lo, hi)
+        out[x_rows[x], op(xs[x], ys[y])] = True
     return out
 
 
@@ -311,14 +341,22 @@ def _image_masks(spec: QuadPolySpec, A: np.ndarray, B: np.ndarray, C: np.ndarray
 
     T(z) varies independently of (x, y), so each stage is deduplicated
     through a mask before the next product: the two-variable values of
-    A_i x B_i, then their sums with T(C_i).
+    A_i x B_i, then their sums with T(C_i).  A row that covers (see _covers)
+    is the whole ring, so only the other rows evaluate their sums.
     """
     ring = spec.ring
     two_var = _row_pairs(A, B, lambda x, y: _two_var(spec, x, y))
     rows, zs = C.nonzero()
     t_of_c = np.zeros(two_var.shape, dtype=bool)
     t_of_c[rows, _poly_table(ring, spec.T)[zs]] = True
-    return _row_pairs(two_var, t_of_c, ring.add_arr)
+    covered = _covers(ring, two_var.sum(axis=1), t_of_c.sum(axis=1))
+    if not covered.any():
+        return _row_pairs(two_var, t_of_c, ring.add_arr)
+    out = np.ones(two_var.shape, dtype=bool)
+    rest = ~covered
+    if rest.any():
+        out[rest] = _row_pairs(two_var[rest], t_of_c[rest], ring.add_arr)
+    return out
 
 
 def image_quad3_sizes(spec: QuadPolySpec, A: np.ndarray, B: np.ndarray, C: np.ndarray):
@@ -347,4 +385,6 @@ def image_shifted_quad(
         np.asarray(ring.sub_arr(X.members[:, None], Y.members[None, :]), dtype=np.int64)
     )
     vals = np.unique(ft[diffs])
+    if _covers(ring, len(vals), len(Z)):
+        return RSet.full(ring)
     return _scatter(ring, ring.add_arr(vals[:, None], Z.members[None, :]))

@@ -119,6 +119,16 @@ def subset_by_rank(ring, max_size, rank):
     raise ValueError(f"rank past the subsets of size <= {max_size}")
 
 
+def brute_sumset(ring, X, Y):
+    """{x + y} by a literal pair loop."""
+    return {ring.add(x, y) for x in X.indices() for y in Y.indices()}
+
+
+def brute_diffset(ring, X, Y):
+    """{x - y} by a literal pair loop."""
+    return {ring.sub(x, y) for x in X.indices() for y in Y.indices()}
+
+
 def brute_image_shifted_quad(ring, f, X, Y, Z):
     """{f(x - y) + z} by a literal triple loop."""
     c2, c1, c0 = f

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fvrlab import cli, experiments
+from fvrlab import cli, experiments, geometry
 from fvrlab.cli import _emit, main
 from fvrlab.report import BoundRow, CheckReport
 from fvrlab.ring import parse_ring_spec
@@ -46,6 +46,13 @@ def test_ring_info_bad_spec(capsys):
     code, out, err = run_cli(capsys, "ring", "info", "zpr:p=4,r=2")
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+def test_ring_info_refuses_huge_specs_at_once(capsys):
+    # trial division of 2**89 - 1 and 3**99999999999 both ran for minutes
+    for spec in ("zpr:p=618970019642690137449562111,r=1", "zpr:p=3,r=99999999999"):
+        code, out, err = run_cli(capsys, "ring", "info", spec)
+        assert code == 2 and out == "" and "exceeds" in err, spec
 
 
 def test_check_full_grid_incidences(capsys):
@@ -216,6 +223,34 @@ def test_all_points_past_the_budget_are_refused_up_front(monkeypatch, capsys):
         theorem="T2_2", ring_spec=ring_spec, points="all", planes="all"
     )
     assert experiments.input_count(config, parse_ring_spec(ring_spec)) == 1
+
+
+def test_t71_grid_pairs_past_the_budget_are_refused_up_front(monkeypatch, capsys):
+    # the orbit pass keys m(m - 1)/2 pairs of m = |A|**2 grid points at once;
+    # the weak count and the orbit pass both start from _grid
+    def no_grid(*args):
+        raise AssertionError("a grid was built before its size was refused")
+
+    monkeypatch.setattr(geometry, "_grid", no_grid)
+    big = ",".join(str(a) for a in range(67))
+    for argv in (
+        ["geometry", "--ring", "zpr:p=3,r=4", "--mode", "random:67:1"],
+        ["check", "T7_1", "--ring", "zpr:p=3,r=4", "--mode", "random:80:3"],
+        ["geometry", "--ring", "zpr:p=3,r=4", "--A", big],
+        ["check", "T7_1", "--ring", "zpr:p=3,r=4", "--A", "all"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "grid pairs (budget 10000000)" in err, argv
+    # 66**2 grid points make 9,485,190 pairs, inside the budget
+    ring_spec = "zpr:p=3,r=4"
+    random_66 = experiments.ExperimentConfig(
+        theorem="T7_1", ring_spec=ring_spec, mode=experiments.parse_mode("random:66:2")
+    )
+    literal_66 = experiments.ExperimentConfig(
+        theorem="T7_1", ring_spec=ring_spec, literals={"A": big.rsplit(",", 1)[0]}
+    )
+    assert experiments.input_count(random_66, parse_ring_spec(ring_spec)) == 2
+    assert experiments.input_count(literal_66, parse_ring_spec(ring_spec)) == 1
 
 
 def test_seed_must_fit_64_bits(capsys):

@@ -59,6 +59,18 @@ def test_spec_string_roundtrip(all_rings):
     assert parse_ring_spec("fqxr:p=3,s=2,r=1").q == 9
 
 
+@settings(max_examples=150, deadline=None)
+@given(*[st.integers(-3, 10**30) | st.integers(-3, 40) for _ in range(3)])
+def test_parse_ring_spec_returns_a_ring_or_refuses(p, s, r):
+    # the order cap is checked before trial division and before p**(s*r)
+    for spec in (f"zpr:p={p},r={r}", f"fqxr:p={p},s={s},r={r}"):
+        try:
+            ring = parse_ring_spec(spec)
+        except ValueError:
+            continue
+        assert ring.order == ring.p ** (ring.s * ring.r) <= 10**6
+
+
 def test_spec_string_errors():
     for bad in [
         "zpr",
@@ -168,8 +180,12 @@ def test_axioms_larger_fqxr(a, b, c):
 
 @pytest.mark.parametrize(
     "p, s, r",
-    # every fqxr shape of order <= 729 the tests use, and three more
-    [(3, 1, 2), (3, 1, 3), (3, 2, 1), (3, 2, 2), (3, 3, 2), (3, 1, 6), (3, 2, 3), (5, 2, 2)],
+    # every fqxr shape of order <= 729 the tests use, three more, and the
+    # r = 1 fields whose products are discrete-log gathers
+    [
+        (3, 1, 2), (3, 1, 3), (3, 2, 1), (3, 2, 2), (3, 3, 2), (3, 1, 6), (3, 2, 3), (5, 2, 2),
+        (3, 6, 1), (5, 2, 1), (5, 4, 1),
+    ],
 )
 def test_cayley_tables_equal_the_digit_oracle(p, s, r):
     ring = make_ring("fqxr", p, s=s, r=r)
@@ -177,9 +193,11 @@ def test_cayley_tables_equal_the_digit_oracle(p, s, r):
     a, b = all_pairs(ring)
     assert (ring.mul_arr(a, b) == digit_kernel_mul(ring, a, b)).all()
     assert (ring.add_arr(a, b) == digit_kernel_add(ring, a, b)).all()
+    idx = np.arange(ring.order)
+    assert (digit_kernel_add(ring, idx, ring.neg_arr(idx)) == 0).all()
 
 
-@pytest.mark.parametrize("p, s, r", [(3, 2, 4), (3, 1, 7), (3, 3, 3), (5, 2, 3)])
+@pytest.mark.parametrize("p, s, r", [(3, 2, 4), (3, 1, 7), (3, 3, 3), (5, 2, 3), (3, 7, 1)])
 def test_kernels_above_table_cap_equal_the_digit_oracle(p, s, r):
     ring = make_ring("fqxr", p, s=s, r=r)
     assert ring.order > TABLE_MAX_ORDER

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fvrlab.ring import make_ring
+from fvrlab.ring import Ring, make_ring, parse_ring_spec
 from fvrlab.setalg import (
+    BLOCK_ELEMS,
     POWER_SUM,
     SUM,
     QuadPolySpec,
@@ -21,10 +24,25 @@ from fvrlab.setalg import (
     rep_histogram,
     sumset,
     translate,
+    _row_pairs,
 )
-from oracles import brute_energy, brute_image_quad3, brute_image_shifted_quad
+from oracles import (
+    brute_diffset,
+    brute_energy,
+    brute_image_quad3,
+    brute_image_shifted_quad,
+    brute_sumset,
+)
 
 from fvrlab.sampling import mix64, sample_subset
+
+# z9, z25, F_3[x]/(x^2) and F_9
+COVER_RINGS = [
+    make_ring("zpr", 3, r=2),
+    make_ring("zpr", 5, r=2),
+    make_ring("fqxr", 3, s=1, r=2),
+    make_ring("fqxr", 3, s=2, r=1),
+]
 
 
 def rs(ring, *indices):
@@ -208,6 +226,22 @@ def test_image_quad3_sizes_match_triple_loop(all_rings):
             assert sizes.tolist() == [len(brute_image_quad3(spec, *t)) for t in triples]
 
 
+def test_row_pairs_across_slices():
+    # rows of up to 243 x 243 pairs, so BLOCK_ELEMS slices end inside x runs
+    rng = np.random.default_rng(243)
+    for ring in (make_ring("zpr", 3, r=5), make_ring("fqxr", 3, s=1, r=5)):
+        X = rng.random((12, ring.order)) < rng.uniform(0.3, 1, (12, 1))
+        Y = rng.random((12, ring.order)) < rng.uniform(0.3, 1, (12, 1))
+        X[3] = Y[5] = False
+        assert (X.sum(axis=1) * Y.sum(axis=1)).sum() > 2 * BLOCK_ELEMS
+        for op in (ring.add_arr, ring.mul_arr):
+            got = _row_pairs(X, Y, op)
+            for row in range(len(X)):
+                want = np.zeros(ring.order, dtype=bool)
+                want[op(np.flatnonzero(X[row])[:, None], np.flatnonzero(Y[row]))] = True
+                assert (got[row] == want).all()
+
+
 def test_member_masks(z9):
     masks = member_masks(9, np.array([[0, 3, 3], [8, 1, 2]]))
     assert [RSet(z9, m).indices() for m in masks] == [[0, 3], [1, 2, 8]]
@@ -226,6 +260,60 @@ def test_image_shifted_quad_matches_triple_loop(all_rings):
             Z = sample_subset(ring, min(3, ring.order), 70 + sd)
             img = image_shifted_quad(ring, f, X, Y, Z)
             assert set(img.indices()) == brute_image_shifted_quad(ring, f, X, Y, Z)
+
+
+# -- the cover rule: |X| + |Y| > |R| gives X + Y = X - Y = R ---------------------
+
+
+@st.composite
+def set_pair_near_cover(draw):
+    """A ring and two sets X, Y with |X| + |Y| within 2 of the ring's order."""
+    ring = draw(st.sampled_from(COVER_RINGS))
+    n = ring.order
+    total = draw(st.integers(n - 2, n + 2))
+    size_x = draw(st.integers(max(1, total - n), min(n, total - 1)))
+    X, Y = (
+        RSet.from_indices(ring, draw(st.permutations(range(n)))[:size])
+        for size in (size_x, total - size_x)
+    )
+    return ring, X, Y
+
+
+@settings(max_examples=150, deadline=None)
+@given(set_pair_near_cover(), st.data())
+def test_cover_rule_equals_pair_loops(drawn, data):
+    ring, X, Y = drawn
+    assert set(sumset(X, Y).indices()) == brute_sumset(ring, X, Y)
+    assert set(diffset(X, Y).indices()) == brute_diffset(ring, X, Y)
+    # with B = {1} and T(z) = z the image is X + Y: its sum stage sits at the cover line
+    one = RSet.from_indices(ring, [1])
+    linear = QuadPolySpec(ring, 1, (0, 0, 0), (0, 0, 0), (0, 1, 0))
+    quadratic = QuadPolySpec(ring, 2, (1, 0, 2), (0, 1, 0), (1, 1, 1))
+    B = data.draw(st.sampled_from([one, X, Y]))
+    for spec in (linear, quadratic):
+        assert set(image_quad3(spec, X, B, Y).indices()) == brute_image_quad3(spec, X, B, Y)
+    # with U = {0} and f(u) = u the image is X - Y, its final sum at the cover line
+    zero = RSet.from_indices(ring, [0])
+    for f, U in (((0, 1, 0), zero), ((1, 1, 0), X)):
+        img = image_shifted_quad(ring, f, U, Y, X)
+        assert set(img.indices()) == brute_image_shifted_quad(ring, f, U, Y, X)
+    # a block whose rows cover and do not: each row sized on its own
+    rows = [(X, one, Y), (X, one, one), (Y, one, X), (one, one, one)]
+    masks = [np.array([row[k].mask for row in rows]) for k in range(3)]
+    sizes = image_quad3_sizes(linear, *masks)
+    assert sizes.tolist() == [len(brute_image_quad3(linear, *row)) for row in rows]
+
+
+def test_covered_sumset_evaluates_no_pairs(monkeypatch):
+    ring = parse_ring_spec("fqxr:p=3,s=3,r=2")  # order 729
+    calls = []
+    add_arr = Ring.add_arr
+    monkeypatch.setattr(Ring, "add_arr", lambda self, *a: calls.append(1) or add_arr(self, *a))
+    X, Y = sample_subset(ring, 365, 1), sample_subset(ring, 365, 2)
+    assert sumset(X, Y) == diffset(X, Y) == RSet.full(ring)
+    assert calls == []
+    sumset(sample_subset(ring, 364, 1), Y)  # 364 + 365 = 729 does not cover
+    assert calls == [1]
 
 
 def test_image_empty_rejected(z9):
