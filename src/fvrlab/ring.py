@@ -407,13 +407,13 @@ class Ring:
         b = np.asarray(b, dtype=np.int64)
         if self.kind == "zpr":
             return (a + b) % self.order
-        return self._fqxr_op(self._add_digits, a, b)
+        return self._fqxr_op(self._add_digits, self._digitwise_table, a, b)
 
     def neg_arr(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         if self.kind == "zpr":
             return (-a) % self.order
-        return self._fqxr_op(self._neg_digits, a)
+        return self._fqxr_op(self._neg_digits, self._digitwise_table, a)
 
     def sub_arr(self, a, b) -> np.ndarray:
         return self.add_arr(a, self.neg_arr(np.asarray(b, dtype=np.int64)))
@@ -423,7 +423,7 @@ class Ring:
         b = np.asarray(b, dtype=np.int64)
         if self.kind == "zpr":
             return (a * b) % self.order
-        return self._fqxr_op(self._mul_digits, a, b)
+        return self._fqxr_op(self._mul_digits, self._row_block_table, a, b)
 
     def _add_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         da, db = np.broadcast_arrays(self._digits_arr(a), self._digits_arr(b))
@@ -484,29 +484,24 @@ class Ring:
 
         g is the least field index whose q - 1 powers are distinct (none of
         g**1 .. g**(q-2) is 1), so it generates the cyclic group F_q^*.
-        Powers are built by doubling, g**(k..2k-1) = g**(0..k-1) * g**k, each
-        step one _field_conv call, for a batch of candidates at once (one row
-        each, the batch doubling up to 2**15 // q rows); a batch stops once
-        every row has met 1.  log[g**i] = i and log[0] = 2q - 3; exp[i] =
-        g**(i mod (q - 1)) below 2q - 3 and 0 from there on, so
+        A candidate's powers are built by doubling, g**(k..2k-1) =
+        g**(0..k-1) * g**k, each step one _field_conv call, until a 1 shows
+        up or q - 1 powers exist.  log[g**i] = i and log[0] = 2q - 3; exp[i]
+        = g**(i mod (q - 1)) below 2q - 3 and 0 from there on, so
         exp[log[a] + log[b]] = a * b on every pair, zero included.  Built
         once per ring shape, in O(q) space.
         """
         tables = _TABLES.setdefault(self.key, {})
         if "logs" not in tables:
             q = self.q
-            lo, batch = 2, 1  # candidates lo .. lo + batch - 1, one row of powers each
-            while lo < q:
-                g = np.arange(lo, min(q, lo + batch), dtype=np.int64)[:, None]
-                powers = np.ones((len(g), 1), dtype=np.int64)
-                while powers.shape[1] < q - 1 and not (powers[:, 1:] == 1).any(axis=1).all():
-                    step = self._field_conv(powers[:, -1:], g)
-                    powers = np.concatenate([powers, self._field_conv(powers, step)], axis=1)
-                primitive = np.flatnonzero((powers[:, 1 : q - 1] != 1).all(axis=1))
-                if len(primitive):
-                    powers = powers[primitive[0], : q - 1]
+            for g in range(2, q):
+                powers = np.ones(1, dtype=np.int64)
+                while len(powers) < q - 1 and not (powers[1:] == 1).any():
+                    step = self._field_conv(powers[-1], g)
+                    powers = np.concatenate([powers, self._field_conv(powers, step)])
+                if (powers[1 : q - 1] != 1).all():
+                    powers = powers[: q - 1]
                     break
-                lo, batch = lo + batch, min(2 * batch, max(1, (1 << 15) // q))
             else:
                 raise AssertionError("F_q^* has no generator")  # unreachable: it is cyclic
             log = np.empty(q, dtype=np.int64)
@@ -542,50 +537,47 @@ class Ring:
                 tab.flags.writeable = False
         return tables["spread"]
 
-    def _fqxr_op(self, kernel, *args: np.ndarray) -> np.ndarray:
+    def _fqxr_op(self, kernel, build, *args: np.ndarray) -> np.ndarray:
         """kernel(*args), as one gather from its table up to TABLE_MAX_ORDER.
 
-        The table holds the kernel's value at every index (pair).  It is
-        built on first use and shared by every ring with the same key: the
-        mul table from the kernel in row blocks, the add and neg tables from
-        the kernel's digit table (see _digitwise_table).
+        The table holds the kernel's value at every index (pair); it is
+        build(kernel, len(args)), made on first use and shared by every ring
+        with the same key.
         """
         if self.order > TABLE_MAX_ORDER:
             return kernel(*args)
         tables = _TABLES.setdefault(self.key, {})
         name = kernel.__name__
         if name not in tables:
-            if name == "_mul_digits":
-                x = np.arange(self.order, dtype=np.int64)
-                # row blocks bound the kernel's temporaries
-                step = max(1, (1 << 15) // self.order)
-                tab = np.concatenate(
-                    [kernel(x[lo : lo + step, None], x) for lo in range(0, self.order, step)]
-                )
-            else:
-                tab = self._digitwise_table(kernel, len(args))
+            tab = build(kernel, len(args))
             tab.flags.writeable = False
             tables[name] = tab
         return tables[name][args]
+
+    def _row_block_table(self, kernel, arity: int) -> np.ndarray:
+        """The table of a binary kernel (mul) on every index pair, filled in
+        row blocks that bound the kernel's temporaries."""
+        x = np.arange(self.order, dtype=np.int64)
+        step = max(1, (1 << 15) // self.order)
+        return np.concatenate(
+            [kernel(x[lo : lo + step, None], x) for lo in range(0, self.order, step)]
+        )
 
     def _digitwise_table(self, kernel, arity: int) -> np.ndarray:
         """The table of a digit-by-digit kernel (add or neg) on every index.
 
         The additive group is (Z/p)**(r*s), base-p digit k of the index being
-        coordinate k, so the table on k + 1 digits is the kernel's p (x p)
-        digit table times p**k plus the table on k digits, by broadcasting.
+        coordinate k, so the table on k + 1 digits is the kernel's table on
+        one digit times p**k plus the table on k digits: each axis of length
+        p * p**k splits into (new digit, lower digits) by broadcasting.
         """
         p = self.p
-        x = np.arange(p, dtype=np.int64)
-        if arity == 1:
-            digit, tab = kernel(x), np.zeros(1, dtype=np.int64)
-            for k in range(self.r * self.s):
-                tab = (digit[:, None] * p**k + tab[None, :]).reshape(-1)
-            return tab
-        digit, tab = kernel(x[:, None], x), np.zeros((1, 1), dtype=np.int64)
+        digit = kernel(*np.ix_(*[np.arange(p, dtype=np.int64)] * arity))
+        tab = np.zeros((1,) * arity, dtype=np.int64)
         for k in range(self.r * self.s):
-            n = p ** (k + 1)
-            tab = (digit[:, None, :, None] * p**k + tab[None, :, None, :]).reshape(n, n)
+            n = p**k
+            tab = digit.reshape((p, 1) * arity) * n + tab.reshape((1, n) * arity)
+            tab = tab.reshape((p * n,) * arity)
         return tab
 
     def val_arr(self, a) -> np.ndarray:

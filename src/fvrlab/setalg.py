@@ -324,11 +324,8 @@ def _row_pairs(X: np.ndarray, Y: np.ndarray, op) -> np.ndarray:
     total = int(ends[-1]) if len(ends) else 0
     for lo in range(0, total, BLOCK_ELEMS):
         hi = min(total, lo + BLOCK_ELEMS)
-        if hi - lo == total:  # one slice holds every run whole
-            first, run = 0, per_x
-        else:
-            first, last = ends.searchsorted(lo, "right"), ends.searchsorted(hi - 1, "right") + 1
-            run = ends[first:last].clip(max=hi) - starts[first:last].clip(min=lo)
+        first, last = ends.searchsorted(lo, "right"), ends.searchsorted(hi - 1, "right") + 1
+        run = ends[first:last].clip(max=hi) - starts[first:last].clip(min=lo)
         x = np.arange(first, first + len(run)).repeat(run)
         y = shift[x]
         y += np.arange(lo, hi)
