@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -479,6 +478,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[ReportList, dict]:
     total = input_count(config, ring)
     workers = _worker_count()
     if workers > 1 and total > 1:
+        # imported here: the pool's multiprocessing machinery loads hmac and
+        # hashlib (OpenSSL), which a serial sweep never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = max(workers * 4, 1)
         step = max(1, -(-total // chunks))
         ranges = [(config, lo, min(total, lo + step)) for lo in range(0, total, step)]

@@ -8,8 +8,10 @@ expander construction produces has this shape.
 Counting buckets planes by (u, v): all planes in a bucket share the value
 histogram of u*x + v*y + z over the point family, so the total cost is
 O(G * |Q| + |Pi|) with G the number of distinct (u, v) pairs, instead of the
-quadratic point-by-plane scan.  Families may contain repeated triples; they
-count with multiplicity.
+quadratic point-by-plane scan.  The planes are sorted by (u, v) and their
+histograms built slice by slice, at most CHUNK_ELEMS elements at a time, so
+memory stays bounded whatever G * order is.  Families may contain repeated
+triples; they count with multiplicity.
 
 File format: one triple per line as "x,y,z", optionally "x,y,z@w" with a
 positive integer weight (default 1).  Blank lines and lines starting with
@@ -29,6 +31,9 @@ from .ring import Ring
 MAX_TOTAL_WEIGHT = 1 << 31
 
 _FAMILY_LITERAL_CAP = 64
+
+# elements in one gather chunk, and in the histogram of one slice of planes
+CHUNK_ELEMS = 1 << 22
 
 
 def as_family(ring: Ring, triples) -> np.ndarray:
@@ -142,7 +147,7 @@ def _bucket_histogram(ring: Ring, points: np.ndarray, planes: np.ndarray, pw=Non
     us, vs = uniq // n, uniq % n
     G = len(uniq)
     hist = np.zeros(G * n, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, len(x)))
+    chunk = max(1, CHUNK_ELEMS // max(1, len(x)))
     for lo in range(0, G, chunk):
         hi = min(G, lo + chunk)
         w = ring.add_arr(
@@ -152,31 +157,52 @@ def _bucket_histogram(ring: Ring, points: np.ndarray, planes: np.ndarray, pw=Non
             ),
             z[None, :],
         )
-        keys = np.arange(lo, hi, dtype=np.int64)[:, None] * n + w
+        keys = np.arange(hi - lo, dtype=np.int64)[:, None] * n + w
         if pw is None:
-            hist += np.bincount(keys.ravel(), minlength=G * n)
+            hist[lo * n : hi * n] += np.bincount(keys.ravel(), minlength=(hi - lo) * n)
         else:
-            np.add.at(hist, keys.ravel(), np.broadcast_to(pw, w.shape).ravel())
+            np.add.at(hist[lo * n : hi * n], keys.ravel(), np.broadcast_to(pw, w.shape).ravel())
     return hist, inverse
+
+
+def _plane_counts(ring: Ring, points: np.ndarray, planes: np.ndarray, pw=None):
+    """(count, perm): count[i] is the (pw-weighted) number of points on plane
+    perm[i], where perm sorts the planes by (u, v).
+
+    The sorted planes are cut at (u, v) group boundaries into slices of at
+    most CHUNK_ELEMS // order groups (one at least), and each slice gets its
+    own _bucket_histogram call, so a histogram holds at most
+    max(CHUNK_ELEMS, order) elements.
+    """
+    n = ring.order
+    uv = planes[:, 0] * n + planes[:, 1]
+    perm = np.argsort(uv, kind="stable")
+    planes, uv = planes[perm], uv[perm]
+    group = np.concatenate([[0], np.cumsum(uv[1:] != uv[:-1])])
+    per_slice = max(1, CHUNK_ELEMS // n)
+    cuts = np.searchsorted(group, np.arange(0, group[-1] + 1, per_slice)).tolist()
+    count = np.empty(len(planes), dtype=np.int64)
+    for lo, hi in zip(cuts, cuts[1:] + [len(planes)]):
+        hist, g = _bucket_histogram(ring, points, planes[lo:hi], pw)
+        count[lo:hi] = hist[g * n + planes[lo:hi, 2]]
+        del hist  # freed before the next slice allocates its histogram
+    return count, perm
 
 
 def count_incidences(ring: Ring, points, planes) -> int:
     """Exact number of incident (point, plane) pairs, with multiplicity."""
     P = as_family(ring, points)
     L = as_family(ring, planes)
-    hist, group = _bucket_histogram(ring, P, L)
-    per_plane = hist[group * ring.order + L[:, 2]]
-    return int(per_plane.sum())
+    count, _ = _plane_counts(ring, P, L)
+    return int(count.sum())
 
 
 def count_weighted_incidences(points: WeightedFamily, planes: WeightedFamily) -> int:
     """Sum of w(point) * w(plane) over incident pairs, exactly."""
     if points.ring != planes.ring:
         raise ValueError("families live in different rings")
-    ring = points.ring
-    hist, group = _bucket_histogram(ring, points.items, planes.items, points.weights)
-    bucket = hist[group * ring.order + planes.items[:, 2]]
-    return sum(int(wq) * int(h) for wq, h in zip(planes.weights, bucket))
+    count, perm = _plane_counts(points.ring, points.items, planes.items, points.weights)
+    return sum(int(wq) * int(h) for wq, h in zip(planes.weights[perm], count))
 
 
 # ---------------------------------------------------------------------------

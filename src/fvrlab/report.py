@@ -32,7 +32,6 @@ the float of ``Fraction(lhs, rhs)``.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 from bisect import bisect_right
@@ -459,6 +458,8 @@ def jsonl_chunks(reports):
 
 def sha256_prefix(data: bytes) -> str:
     """First 16 hex digits of the sha256 of data, as report literals carry it."""
+    import hashlib  # loads OpenSSL, which a sweep of small sets never needs
+
     return hashlib.sha256(data).hexdigest()[:16]
 
 

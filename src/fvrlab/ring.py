@@ -31,8 +31,9 @@ multiplies indices modulo p**r.  ``fqxr`` adds and negates base-p digit
 arrays, and multiplies coefficient by coefficient, each residue-field
 product gathered from the field's q x q product table, whose entries are
 discrete-log gathers.  Up to order TABLE_MAX_ORDER every add/neg/mul is
-one gather from an int64 Cayley table built once per ring shape: the mul
-table by the kernel, the add and neg tables from their p (x p) digit table,
+one gather from an int16 Cayley table built once per ring shape, widened to
+int64 on the way out: the mul table filled in place by the kernel, row
+block by row block, the add and neg tables from their p (x p) digit table,
 since the additive group is (Z/p)**(r*s) digit by digit.  Above it the
 kernels run on every call.  Scalar ops on ``fqxr`` are the array ops on
 0-d input.
@@ -47,9 +48,12 @@ import numpy as np
 
 DEFAULT_MAX_ORDER = 10**6
 
-# fqxr rings up to this order gather add/neg/mul from int64 Cayley tables
-# (two 729 x 729 tables take 8.5 MB); larger ones run the digit kernels
+# fqxr rings up to this order gather add/neg/mul from int16 Cayley tables
+# (the add and mul tables at order 729 take 1.06 MB each); larger ones run
+# the digit kernels
 TABLE_MAX_ORDER = 729
+# every table entry is an index below the order, so int16 holds it
+assert TABLE_MAX_ORDER < 2**15
 
 # Cayley tables by Ring.key, read-only; see Ring._fqxr_op
 _TABLES: dict[tuple, dict[str, np.ndarray]] = {}
@@ -540,9 +544,10 @@ class Ring:
     def _fqxr_op(self, kernel, build, *args: np.ndarray) -> np.ndarray:
         """kernel(*args), as one gather from its table up to TABLE_MAX_ORDER.
 
-        The table holds the kernel's value at every index (pair); it is
-        build(kernel, len(args)), made on first use and shared by every ring
-        with the same key.
+        The table holds the kernel's value at every index (pair) as int16; it
+        is build(kernel, len(args)), made on first use and shared by every
+        ring with the same key.  The gather is widened to int64, the dtype
+        every ``*_arr`` returns.
         """
         if self.order > TABLE_MAX_ORDER:
             return kernel(*args)
@@ -552,16 +557,17 @@ class Ring:
             tab = build(kernel, len(args))
             tab.flags.writeable = False
             tables[name] = tab
-        return tables[name][args]
+        return tables[name][args].astype(np.int64)
 
     def _row_block_table(self, kernel, arity: int) -> np.ndarray:
-        """The table of a binary kernel (mul) on every index pair, filled in
-        row blocks that bound the kernel's temporaries."""
+        """The table of a binary kernel (mul) on every index pair, written in
+        place row block by row block, which bounds the kernel's temporaries."""
         x = np.arange(self.order, dtype=np.int64)
         step = max(1, (1 << 15) // self.order)
-        return np.concatenate(
-            [kernel(x[lo : lo + step, None], x) for lo in range(0, self.order, step)]
-        )
+        tab = np.empty((self.order, self.order), dtype=np.int16)
+        for lo in range(0, self.order, step):
+            tab[lo : lo + step] = kernel(x[lo : lo + step, None], x)
+        return tab
 
     def _digitwise_table(self, kernel, arity: int) -> np.ndarray:
         """The table of a digit-by-digit kernel (add or neg) on every index.
@@ -572,8 +578,8 @@ class Ring:
         p * p**k splits into (new digit, lower digits) by broadcasting.
         """
         p = self.p
-        digit = kernel(*np.ix_(*[np.arange(p, dtype=np.int64)] * arity))
-        tab = np.zeros((1,) * arity, dtype=np.int64)
+        digit = kernel(*np.ix_(*[np.arange(p, dtype=np.int64)] * arity)).astype(np.int16)
+        tab = np.zeros((1,) * arity, dtype=np.int16)
         for k in range(self.r * self.s):
             n = p**k
             tab = digit.reshape((p, 1) * arity) * n + tab.reshape((1, n) * arity)

@@ -1,9 +1,36 @@
 import os
+import signal
 
 import pytest
 
 import fvrlab
 from fvrlab.ring import make_ring
+
+# about 15 times the slowest test; a hang fails its test instead of the run
+TEST_TIME_LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that outlives TEST_TIME_LIMIT_S.
+
+    A BaseException, so Hypothesis does not catch it and shrink a hanging
+    example with no timer armed; pytest still reports the test as failed.
+    """
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past {TEST_TIME_LIMIT_S} s")
+
+    # a real-time timer; forked pool workers do not inherit it
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,9 @@
 """Command line surface: subcommands, outputs, exit codes."""
 
+import concurrent.futures
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,8 @@ from fvrlab import cli, experiments, geometry
 from fvrlab.cli import _emit, main
 from fvrlab.report import BoundRow, CheckReport
 from fvrlab.ring import parse_ring_spec
+
+from conftest import child_env
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +58,20 @@ def test_ring_info_refuses_huge_specs_at_once(capsys):
     for spec in ("zpr:p=618970019642690137449562111,r=1", "zpr:p=3,r=99999999999"):
         code, out, err = run_cli(capsys, "ring", "info", spec)
         assert code == 2 and out == "" and "exceeds" in err, spec
+
+
+def test_import_loads_no_pool_and_no_openssl(tmp_path):
+    # a serial sweep needs neither; hashlib alone loads OpenSSL (3.5 MB)
+    code = (
+        "import sys, numpy; base = set(sys.modules); import fvrlab.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'hashlib'} & (set(sys.modules) - base)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=child_env(),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_check_full_grid_incidences(capsys):
@@ -268,8 +287,10 @@ def test_random_sizes_past_the_domain_are_refused_up_front(monkeypatch, capsys):
     def no_draw(*args):
         raise AssertionError("a draw or a pool started before the size was refused")
 
-    for name in ("_run_input", "sample_subsets", "ProcessPoolExecutor"):
+    for name in ("_run_input", "sample_subsets"):
         monkeypatch.setattr(experiments, name, no_draw)
+    # run_experiment imports the pool class from here when a pool starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_draw)
     monkeypatch.setenv("FVRLAB_WORKERS", "2")
     cases = [
         (["check", "T1_5", "--ring", "zpr:p=3,r=2", "--mode", "random:10:2"],

@@ -1,11 +1,15 @@
 """Incidence counting and the plane-family bound reports."""
 
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fvrlab import incidence
 from fvrlab.incidence import (
+    CHUNK_ELEMS,
     MAX_TOTAL_WEIGHT,
     WeightedFamily,
     as_family,
@@ -20,7 +24,7 @@ from fvrlab.incidence import (
 )
 from fvrlab.experiments import ExperimentConfig, parse_mode, run_experiment
 from fvrlab.report import CheckReport, read_jsonl, write_jsonl
-from fvrlab.ring import make_ring
+from fvrlab.ring import make_ring, parse_ring_spec
 from fvrlab.sampling import mix64, sample_planes, sample_points, sample_weights, shuffled
 
 from oracles import brute_incidences, brute_weighted_incidences
@@ -67,16 +71,49 @@ def test_full_grid_z3_weighted_ratio(z3):
     assert float(rep.ratio) == 0.75
 
 
-def test_counts_match_brute(all_rings):
-    for ring in all_rings:
+def histogram_groups(monkeypatch):
+    """The (u, v) group count of each _bucket_histogram call, read as
+    bench/spans.py reads incidence.uv_groups: hist.size // order."""
+    groups = []
+    real = incidence._bucket_histogram
+
+    def spy(ring, *args):
+        hist, group = real(ring, *args)
+        groups.append(hist.size // ring.order)
+        return hist, group
+
+    monkeypatch.setattr(incidence, "_bucket_histogram", spy)
+    return groups
+
+
+def check_slices(groups, ring, planes, budget):
+    """One call per slice of budget // order groups; the slices hold every group once."""
+    G = len(np.unique(planes[:, 0] * ring.order + planes[:, 1]))
+    per_slice = max(1, budget // ring.order)
+    assert sum(groups) == G and len(groups) == -(-G // per_slice)
+    groups.clear()
+
+
+# the default budget makes one slice; 50 elements make several slices, each
+# gathered in several chunks
+BUDGETS = (CHUNK_ELEMS, 50)
+
+
+def test_counts_match_brute(all_rings, monkeypatch):
+    groups = histogram_groups(monkeypatch)
+    for ring, budget in itertools.product(all_rings, BUDGETS):
+        monkeypatch.setattr(incidence, "CHUNK_ELEMS", budget)
         pts = sample_points(ring, 23, mix64(11, ring.order))
         pls = sample_planes(ring, 17, mix64(12, ring.order))
         want = brute_incidences(ring, pts.tolist(), pls.tolist())
         assert count_incidences(ring, pts, pls) == want
+        check_slices(groups, ring, pls, budget)
 
 
-def test_weighted_matches_brute(all_rings):
-    for ring in all_rings:
+def test_weighted_matches_brute(all_rings, monkeypatch):
+    groups = histogram_groups(monkeypatch)
+    for ring, budget in itertools.product(all_rings, BUDGETS):
+        monkeypatch.setattr(incidence, "CHUNK_ELEMS", budget)
         pts = sample_points(ring, 14, mix64(21, ring.order))
         pls = sample_planes(ring, 11, mix64(22, ring.order))
         wp = sample_weights(len(pts), 9, mix64(23, ring.order))
@@ -87,6 +124,23 @@ def test_weighted_matches_brute(all_rings):
             ring, list(zip(pts.tolist(), wp)), list(zip(pls.tolist(), wq))
         )
         assert count_weighted_incidences(pfam, qfam) == want
+        check_slices(groups, ring, pls, budget)
+
+
+def test_histograms_stay_bounded_on_a_large_ring():
+    # 200 planes in 200 (u, v) groups once took one 200 x 99991 histogram
+    # and a second one from bincount: 306 MB
+    ring = parse_ring_spec("zpr:p=99991,r=1")
+    pts = sample_points(ring, 200, 1)
+    pls = sample_planes(ring, 200, 2)
+    tracemalloc.start()
+    try:
+        got = count_incidences(ring, pts, pls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == brute_incidences(ring, pts.tolist(), pls.tolist())
+    assert peak < 80 * 2**20
 
 
 def test_count_invariances(z9):

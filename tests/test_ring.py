@@ -1,10 +1,19 @@
+import itertools
+import signal
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fvrlab import ring as ring_module
+from fvrlab.incidence import count_incidences
 from fvrlab.ring import TABLE_MAX_ORDER, Coset, make_ring, parse_ring_spec
+
+from conftest import TimeLimitExceeded
 from oracles import (
+    brute_incidences,
     brute_solve_linear,
     digit_kernel_add,
     digit_kernel_mul,
@@ -67,6 +76,7 @@ def test_spec_string_roundtrip(all_rings):
     s=st.integers(13, 10**30) | st.integers(-3, 4),
     r=st.integers(-3, 10**30) | st.integers(-3, 40),
 )
+@example(p=2**89 - 1, s=1, r=1)  # a prime whose trial division runs for hours
 def test_parse_ring_spec_returns_a_ring_or_refuses(p, s, r):
     # the order cap is checked before trial division and before p**(s*r)
     for spec in (f"zpr:p={p},r={r}", f"fqxr:p={p},s={s},r={r}"):
@@ -75,6 +85,15 @@ def test_parse_ring_spec_returns_a_ring_or_refuses(p, s, r):
         except ValueError:
             continue
         assert ring.order == ring.p ** (ring.s * ring.r) <= 10**6
+
+
+def test_a_hang_fails_at_the_time_limit():
+    # trial division of 2**89 - 1, which the ring-spec tests run into when the
+    # order cap check is lost: the autouse time_limit fixture's timer, cut to
+    # 50 ms here, ends it with a failure instead of a hang
+    signal.setitimer(signal.ITIMER_REAL, 0.05)
+    with pytest.raises(TimeLimitExceeded):
+        ring_module._is_prime(2**89 - 1)
 
 
 def test_spec_string_errors():
@@ -201,6 +220,68 @@ def test_cayley_tables_equal_the_digit_oracle(p, s, r):
     assert (ring.add_arr(a, b) == digit_kernel_add(ring, a, b)).all()
     idx = np.arange(ring.order)
     assert (digit_kernel_add(ring, idx, ring.neg_arr(idx)) == 0).all()
+    # the tables hold int16 and are shared read-only; every gather is int64
+    for name in ("_add_digits", "_neg_digits", "_mul_digits"):
+        tab = ring_module._TABLES[ring.key][name]
+        assert tab.dtype == np.int16 and not tab.flags.writeable
+    check_int64_results(ring)
+
+
+def check_int64_results(ring):
+    """Every *_arr gives int64, on 0-d input and on broadcast shapes, and
+    agrees with the scalar op."""
+    n = ring.order
+    x, y = n - 1, n // 2 + 1
+    ops = [
+        (ring.add_arr, ring.add, 2),
+        (ring.sub_arr, ring.sub, 2),
+        (ring.mul_arr, ring.mul, 2),
+        (ring.neg_arr, ring.neg, 1),
+        (lambda a: ring.pow_arr(a, 5), lambda a: ring.pow(a, 5), 1),
+    ]
+    col = np.array([0, 1, x, y])[:, None]
+    row = np.array([y, x, 2])
+    for arr_op, scalar_op, arity in ops:
+        zero_d = arr_op(*[np.int64(x), y][:arity])
+        assert np.shape(zero_d) == () and zero_d.dtype == np.int64
+        assert int(zero_d) == scalar_op(*[x, y][:arity])
+        grid = arr_op(*[col, row][:arity])
+        assert grid.dtype == np.int64
+        assert grid.shape == ((4, 3) if arity == 2 else (4, 1))
+
+
+def test_first_tables_build_within_their_own_size():
+    # at order 729 the int64 tables and the mul table's concatenated row
+    # blocks peaked at 4.63 MB (add) and 8.13 MB (mul); an int16 table is 1.06 MB
+    ring = parse_ring_spec("fqxr:p=3,s=3,r=2")
+    x = np.arange(5)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for op in (ring.add_arr, ring.mul_arr):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ring_module, "_TABLES", {})
+                tracemalloc.reset_peak()
+                op(x, x)
+                peaks[op.__name__] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(peak < 2.5 * 2**20 for peak in peaks.values()), peaks
+
+
+def test_int64_arithmetic_at_the_order_cap():
+    # the largest prime order under the cap: products reach 10**12, past int32
+    ring = parse_ring_spec("zpr:p=999983,r=1")
+    n = ring.order
+    ext = [0, 1, 2, n // 2, n - 2, n - 1]
+    a, b = np.array(ext)[:, None], np.array(ext)
+    assert ring.mul_arr(a, b).tolist() == [[u * v % n for v in ext] for u in ext]
+    assert ring.add_arr(a, b).tolist() == [[(u + v) % n for v in ext] for u in ext]
+    # incidence keys each plane by u * n + v, up to 10**12 here
+    triples = np.array(list(itertools.product(ext[::2] + [n - 1], repeat=3)))
+    assert count_incidences(ring, triples, triples) == brute_incidences(
+        ring, triples.tolist(), triples.tolist()
+    )
 
 
 @pytest.mark.parametrize("p, s, r", [(3, 2, 4), (3, 1, 7), (3, 3, 3), (5, 2, 3), (3, 7, 1)])
@@ -210,6 +291,7 @@ def test_kernels_above_table_cap_equal_the_digit_oracle(p, s, r):
     a, b = np.random.default_rng(ring.order).integers(0, ring.order, size=(2, 5000))
     assert (ring.mul_arr(a, b) == digit_kernel_mul(ring, a, b)).all()
     assert (ring.mul_arr(a[:, None], b[:50]) == digit_kernel_mul(ring, a[:, None], b[:50])).all()
+    check_int64_results(ring)
 
 
 def test_digit_kernels_above_table_cap():
