@@ -24,6 +24,7 @@ from .setalg import (
     QuadPolySpec,
     RSet,
     _same_ring,
+    _scatter,
     diffset,
     dilate,
     energy,
@@ -183,8 +184,7 @@ def check_f_of_A_plus_A(f, A: RSet, seed: int | None = None) -> CheckReport:
         raise ValueError("f must be quadratic (nonzero leading coefficient)")
     q, r = ring.q, ring.r
     na = len(A)
-    table = poly1_table(ring, (c2, c1, c0))
-    fA = RSet.from_indices(ring, [int(table[a]) for a in A.members])
+    fA = _scatter(ring, poly1_table(ring, (c2, c1, c0))[A.members])
     S = sumset(fA, A)
     gate = BoundRow(
         "gate_mass", len(S) * na**2 >= q ** (3 * r - 1), len(S) * na**2, q ** (3 * r - 1)

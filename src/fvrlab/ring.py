@@ -9,7 +9,7 @@ constructible:
 * ``zpr``   -- the integers modulo p**r, uniformizer p (s = 1);
 * ``fqxr``  -- polynomials F_q[x] modulo x**r, uniformizer x, where
   F_q = F_p[y]/(g) for the lexicographically smallest monic irreducible
-  g of degree s (coefficients compared high degree first).
+  g of degree s (coefficients compared low degree first).
 
 Every element is addressed by a canonical index in [0, q**r).  For
 ``zpr`` the index is the integer value itself.  For ``fqxr`` an element
@@ -94,31 +94,51 @@ def _poly_divmod(num: tuple[int, ...], den: tuple[int, ...], p: int):
     return tuple(quot), tuple(c % p for c in num)
 
 
+def _poly_mulmod(a: tuple[int, ...], b: tuple[int, ...], f: tuple[int, ...], p: int):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            prod[i + j] += c * d
+    return _poly_divmod(tuple(prod), f, p)[1]
+
+
+def _poly_powmod(a: tuple[int, ...], e: int, f: tuple[int, ...], p: int):
+    """a**e mod f, by square and multiply."""
+    out = (1,)
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, a, f, p)
+        a, e = _poly_mulmod(a, a, f, p), e >> 1
+    return out
+
+
 def _poly_is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Exhaustive trial division by all monic polynomials of degree <= deg/2."""
-    deg = len(f) - 1
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            div = []
-            c = code
-            for _ in range(d):
-                c, dig = divmod(c, p)
-                div.append(dig)
-            div.append(1)
-            _, rem = _poly_divmod(f, tuple(div), p)
-            if rem == (0,):
-                return False
+    """Whether the monic f of degree s is irreducible over F_p (distinct-degree
+    test): y**(p**k) - y is the product of the monic irreducibles of degree
+    dividing k, so f is irreducible iff gcd(f, y**(p**k) - y) = 1 for every
+    k <= s/2."""
+    frob = (0, 1)  # y**(p**k) mod f
+    for _ in range((len(f) - 1) // 2):
+        frob = _poly_powmod(frob, p, f, p)
+        diff = list(frob) + [0] * (2 - len(frob))
+        diff[1] -= 1
+        a, b = f, _poly_divmod(tuple(diff), f, p)[1]  # reduced mod p and trimmed
+        while b != (0,):
+            a, b = b, _poly_divmod(a, b, p)[1]
+        if len(a) > 1:
+            return False
     return True
 
 
 def _find_field_modulus(p: int, s: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree s, low-first coefficient tuple.
+    """Smallest monic irreducible of degree s >= 2, low-first coefficient tuple.
 
-    Candidates are ordered by the coefficient vector read from the x**(s-1)
-    coefficient down to the constant term, so the scan tries y**s, then
-    y**s + 1, then y**s + 2, ..., then y**s + y, and so on.
+    Candidates are ordered by the coefficient vector read from the constant
+    term up to the y**(s-1) coefficient: y**s, y**s + y**(s-1), ...,
+    y**s + y**(s-2), and so on.  The first p**(s-1) of them have constant
+    term 0, so y divides them, and the scan starts past them at y**s + 1.
     """
-    for code in range(p**s):
+    for code in range(p ** (s - 1), p**s):
         coeffs = [0] * s
         c = code
         for k in range(s - 1, -1, -1):

@@ -1,15 +1,14 @@
 """Dense subsets of a finite valuation ring and their exact set algebra.
 
 An :class:`RSet` stores a membership bit-vector over canonical indices plus
-the sorted member array, so sumsets, product sets, dilates and polynomial
-images are pairwise vectorized table operations followed by a scatter.  All
-counts are exact; nothing here ever rounds.
-
-One rule of the additive group skips pairs (_covers): |X| + |Y| > |R|
-forces X + Y = X - Y = R, so sumset, diffset, the additive stage of the
-three-variable image (row by row) and the final sum of image_shifted_quad
-return the whole ring without evaluating a pair.  Product sets never ask
-it: R is not a group under multiplication.
+the sorted member array.  Every pairwise set image (sums, differences and
+products of sets, both stages of the three-variable image, f(X - Y) + Z)
+runs through one kernel, _pairs: op broadcast over two (rows, k) member
+rectangles in chunks of at most max(BLOCK_ELEMS, order) pairs, each chunk
+scattered into a (rows, order) mask.  A mask row joins a rectangle by
+repeating its last member up to the longest row, which no set image can
+notice.  Sums and differences first ask the cover rule (_covers): |X| + |Y|
+> |R| forces X + Y = X - Y = R.  All counts are exact; nothing rounds.
 
 Set literals on the wire are comma-separated canonical indices ("0,1,5").
 Quadratic polynomial data for the three-variable image a*x*y + R(x) + S(y)
@@ -113,36 +112,35 @@ def _scatter(ring: Ring, values: np.ndarray) -> RSet:
 
 
 def _covers(ring: Ring, size_x, size_y):
-    """Whether |X| + |Y| > |R|, which forces X + Y = X - Y = R (elementwise).
-
-    In any finite group, g - Y (and g + Y) has |Y| members, so it meets X
-    when |X| + |Y| > |R|: g = x + y (and g = x - y) for some x in X, y in
-    Y.  Sums and differences ask it; products never do, since R is not a
-    group under multiplication.
-    """
+    """Whether |X| + |Y| > |R|, which forces X + Y = X - Y = R (elementwise):
+    g - Y and g + Y have |Y| members, so they meet X.  Products never ask it,
+    since R is not a group under multiplication."""
     return size_x + size_y > ring.order
+
+
+def _pair_set(A: RSet, B: RSet, op) -> RSet:
+    """{op(a, b) : a in A, b in B}, the one-row call of _pairs."""
+    ring = _same_ring(A, B)
+    return RSet(ring, _pairs(A.members[None], B.members[None], op, ring.order)[0])
 
 
 def sumset(A: RSet, B: RSet) -> RSet:
     """{a + b : a in A, b in B}."""
-    ring = _same_ring(A, B)
-    if _covers(ring, len(A), len(B)):
-        return RSet.full(ring)
-    return _scatter(ring, ring.add_arr(A.members[:, None], B.members[None, :]))
+    if _covers(_same_ring(A, B), len(A), len(B)):
+        return RSet.full(A.ring)
+    return _pair_set(A, B, A.ring.add_arr)
 
 
 def diffset(A: RSet, B: RSet) -> RSet:
     """{a - b : a in A, b in B}."""
-    ring = _same_ring(A, B)
-    if _covers(ring, len(A), len(B)):
-        return RSet.full(ring)
-    return _scatter(ring, ring.sub_arr(A.members[:, None], B.members[None, :]))
+    if _covers(_same_ring(A, B), len(A), len(B)):
+        return RSet.full(A.ring)
+    return _pair_set(A, B, A.ring.sub_arr)
 
 
 def prodset(A: RSet, B: RSet) -> RSet:
     """{a * b : a in A, b in B}."""
-    ring = _same_ring(A, B)
-    return _scatter(ring, ring.mul_arr(A.members[:, None], B.members[None, :]))
+    return _pair_set(A, B, A.ring.mul_arr)
 
 
 def translate(A: RSet, c: int) -> RSet:
@@ -305,31 +303,41 @@ def member_masks(order: int, members: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _row_pairs(X: np.ndarray, Y: np.ndarray, op) -> np.ndarray:
-    """Mask of {op(x, y) : x in X_i, y in Y_i} for every row i of two masks.
+def _pairs(xm: np.ndarray, ym: np.ndarray, op, order: int) -> np.ndarray:
+    """(rows, order) mask of {op(x, y) : x in xm_i, y in ym_i} for two (rows, k)
+    member rectangles.  op broadcasts over chunks of whole rows, at most
+    BLOCK_ELEMS pairs, or of one row's x members if a row has more, so no chunk
+    exceeds max(BLOCK_ELEMS, order); it returns a new int64 array, which is
+    offset in place into one flat scatter per chunk."""
+    (rows, kx), ky = xm.shape, ym.shape[1]
+    out = np.zeros((rows, order), dtype=bool)
+    if not (kx and ky):
+        return out
+    row_step = max(1, BLOCK_ELEMS // (kx * ky))
+    x_step = max(1, BLOCK_ELEMS // ky)
+    for lo in range(0, rows, row_step):
+        x, y = xm[lo : lo + row_step, :, None], ym[lo : lo + row_step, None]
+        base = np.arange(lo, lo + len(x))[:, None, None] * order
+        for x_lo in range(0, kx, x_step):
+            idx = op(x[:, x_lo : x_lo + x_step], y)
+            idx += base
+            out.reshape(-1)[idx] = True
+    return out
 
-    The pairs of all rows are laid end to end, each row's x-major, and
-    evaluated BLOCK_ELEMS at a time: a slice repeats each x entry over its
-    run of pairs inside the slice.
-    """
-    out = np.zeros(X.shape, dtype=bool)
-    x_rows, xs = X.nonzero()
-    ys = Y.nonzero()[1]
-    y_count = Y.sum(axis=1)
-    per_x = y_count[x_rows]
-    ends = per_x.cumsum()
-    starts = ends - per_x
-    # pair p of x entry e meets y entry p + shift[e]
-    shift = (y_count.cumsum() - y_count)[x_rows] - starts
-    total = int(ends[-1]) if len(ends) else 0
-    for lo in range(0, total, BLOCK_ELEMS):
-        hi = min(total, lo + BLOCK_ELEMS)
-        first, last = ends.searchsorted(lo, "right"), ends.searchsorted(hi - 1, "right") + 1
-        run = ends[first:last].clip(max=hi) - starts[first:last].clip(min=lo)
-        x = np.arange(first, first + len(run)).repeat(run)
-        y = shift[x]
-        y += np.arange(lo, hi)
-        out[x_rows[x], op(xs[x], ys[y])] = True
+
+def _members(masks: np.ndarray) -> np.ndarray:
+    """(rows, k) member rectangle of a block of masks, k its longest row: a
+    shorter row repeats its last member, an empty row some other member."""
+    counts = masks.sum(axis=1)
+    last = counts.cumsum() - 1
+    idx = (last - counts + 1)[:, None] + np.arange(counts.max(initial=0))
+    return masks.nonzero()[1][np.minimum(idx, last[:, None]).clip(min=0)]
+
+
+def _row_pairs(X: np.ndarray, Y: np.ndarray, op) -> np.ndarray:
+    """Mask of {op(x, y) : x in X_i, y in Y_i} for every row i of two masks."""
+    out = _pairs(_members(X), _members(Y), op, X.shape[1])
+    out[~(X.any(axis=1) & Y.any(axis=1))] = False
     return out
 
 
@@ -369,19 +377,11 @@ def image_quad3_sizes(spec: QuadPolySpec, A: np.ndarray, B: np.ndarray, C: np.nd
     return sizes
 
 
-def image_shifted_quad(
-    ring: Ring, f: tuple[int, int, int], X: RSet, Y: RSet, Z: RSet
-) -> RSet:
+def image_shifted_quad(ring: Ring, f: tuple[int, int, int], X: RSet, Y: RSet, Z: RSet) -> RSet:
     """Exact image {f(x - y) + z} for a one-variable quadratic f."""
     if ring != _same_ring(X, Y, Z):
         raise ValueError("sets live in a different ring than requested")
     if not (len(X) and len(Y) and len(Z)):
         raise ValueError("image needs nonempty X, Y, Z")
     ft = poly1_table(ring, f)
-    diffs = np.unique(
-        np.asarray(ring.sub_arr(X.members[:, None], Y.members[None, :]), dtype=np.int64)
-    )
-    vals = np.unique(ft[diffs])
-    if _covers(ring, len(vals), len(Z)):
-        return RSet.full(ring)
-    return _scatter(ring, ring.add_arr(vals[:, None], Z.members[None, :]))
+    return sumset(_pair_set(X, Y, lambda x, y: ft[ring.sub_arr(x, y)]), Z)

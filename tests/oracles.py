@@ -58,6 +58,32 @@ def slow_valuation(ring, a):
     raise AssertionError("unreachable: k = 0 always matches")
 
 
+def trial_division_is_irreducible(f, p):
+    """Whether the monic f (low-first coefficients) is irreducible over F_p:
+    long division by every monic polynomial of degree 1 to deg(f) / 2."""
+    deg = len(f) - 1
+    for d in range(1, deg // 2 + 1):
+        for low in product(range(p), repeat=d):
+            div = (*low, 1)
+            rem = list(f)
+            for k in range(deg, d - 1, -1):
+                c = rem[k] % p
+                for j in range(d + 1):
+                    rem[k - d + j] -= c * div[j]
+            if all(c % p == 0 for c in rem):
+                return False
+    return True
+
+
+def trial_division_field_modulus(p, s):
+    """The first irreducible y**s + c_(s-1) y**(s-1) + ... + c_0 with
+    (c_0, ..., c_(s-1)) in lexicographic order, by trial division."""
+    for low in product(range(p), repeat=s):
+        if trial_division_is_irreducible((*low, 1), p):
+            return (*low, 1)
+    raise AssertionError("no irreducible polynomial found")
+
+
 def brute_solve_linear(ring, m, n):
     return [k for k in range(ring.order) if ring.mul(k, m) == n]
 

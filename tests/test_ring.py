@@ -19,6 +19,8 @@ from oracles import (
     digit_kernel_mul,
     slow_mul,
     slow_valuation,
+    trial_division_field_modulus,
+    trial_division_is_irreducible,
 )
 
 
@@ -71,9 +73,7 @@ def test_spec_string_roundtrip(all_rings):
 @settings(max_examples=150, deadline=None)
 @given(
     p=st.integers(-3, 10**30) | st.integers(-3, 40),
-    # s stays at most 4 or past 12 (3**13 is over the cap): finding a field
-    # modulus of degree 5 to 12 takes 0.1 to 1.7 s (see _find_field_modulus)
-    s=st.integers(13, 10**30) | st.integers(-3, 4),
+    s=st.integers(-3, 10**30) | st.integers(-3, 40),
     r=st.integers(-3, 10**30) | st.integers(-3, 40),
 )
 @example(p=2**89 - 1, s=1, r=1)  # a prime whose trial division runs for hours
@@ -85,6 +85,17 @@ def test_parse_ring_spec_returns_a_ring_or_refuses(p, s, r):
         except ValueError:
             continue
         assert ring.order == ring.p ** (ring.s * ring.r) <= 10**6
+
+
+def test_field_modulus_matches_trial_division():
+    for p in (3, 5, 7):
+        for deg in range(1, 6 if p == 3 else 4):
+            for low in itertools.product(range(p), repeat=deg):
+                f = (*low, 1)
+                assert ring_module._poly_is_irreducible(f, p) == trial_division_is_irreducible(f, p)
+        for s in range(2, 9):
+            if p**s <= 3**8:
+                assert ring_module._find_field_modulus(p, s) == trial_division_field_modulus(p, s)
 
 
 def test_a_hang_fails_at_the_time_limit():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from fvrlab.setalg import (
     sumset,
     translate,
     _row_pairs,
+    _two_var,
 )
 from oracles import (
     brute_diffset,
@@ -227,19 +230,29 @@ def test_image_quad3_sizes_match_triple_loop(all_rings):
 
 
 def test_row_pairs_across_slices():
-    # rows of up to 243 x 243 pairs, so BLOCK_ELEMS slices end inside x runs
+    # rows of unequal sizes, padded to the longest row; rows empty in X, in Y
+    # and in both; a sparse block runs several rows per chunk, and the dense
+    # block's row 0 has more than BLOCK_ELEMS pairs, so it runs in x slices
     rng = np.random.default_rng(243)
-    for ring in (make_ring("zpr", 3, r=5), make_ring("fqxr", 3, s=1, r=5)):
-        X = rng.random((12, ring.order)) < rng.uniform(0.3, 1, (12, 1))
-        Y = rng.random((12, ring.order)) < rng.uniform(0.3, 1, (12, 1))
-        X[3] = Y[5] = False
-        assert (X.sum(axis=1) * Y.sum(axis=1)).sum() > 2 * BLOCK_ELEMS
-        for op in (ring.add_arr, ring.mul_arr):
-            got = _row_pairs(X, Y, op)
-            for row in range(len(X)):
-                want = np.zeros(ring.order, dtype=bool)
-                want[op(np.flatnonzero(X[row])[:, None], np.flatnonzero(Y[row]))] = True
-                assert (got[row] == want).all()
+    for ring in (make_ring("zpr", 3, r=6), parse_ring_spec("fqxr:p=3,s=3,r=2")):
+        n = ring.order
+        spec = QuadPolySpec(ring, 2, (1, 0, 2), (0, 1, 0), (1, 1, 1))
+        ops = (ring.add_arr, ring.sub_arr, ring.mul_arr, lambda x, y: _two_var(spec, x, y))
+        for rows, density in ((40, 0.15), (12, 0.5)):
+            X = rng.random((rows, n)) < rng.uniform(0, density, (rows, 1))
+            Y = rng.random((rows, n)) < rng.uniform(0, density, (rows, 1))
+            X[3] = Y[5] = X[7] = Y[7] = False
+            if density > 0.2:
+                X[0, :400] = Y[0, :300] = True
+            row_pairs = X.sum(axis=1).max() * Y.sum(axis=1).max()  # the padded rows
+            assert row_pairs > BLOCK_ELEMS if density > 0.2 else 2 * row_pairs <= BLOCK_ELEMS
+            assert rows * row_pairs > 2 * BLOCK_ELEMS
+            for op in ops:
+                got = _row_pairs(X, Y, op)
+                for row in range(rows):
+                    want = np.zeros(n, dtype=bool)
+                    want[op(np.flatnonzero(X[row])[:, None], np.flatnonzero(Y[row]))] = True
+                    assert (got[row] == want).all()
 
 
 def test_member_masks(z9):
@@ -313,7 +326,43 @@ def test_covered_sumset_evaluates_no_pairs(monkeypatch):
     assert sumset(X, Y) == diffset(X, Y) == RSet.full(ring)
     assert calls == []
     sumset(sample_subset(ring, 364, 1), Y)  # 364 + 365 = 729 does not cover
-    assert calls == [1]
+    # 364 x 365 pairs run in ceil(364 / (BLOCK_ELEMS // 365)) = 3 slices of x members
+    assert calls == [1, 1, 1]
+
+
+def test_set_images_stay_bounded_on_a_large_ring():
+    # two 2000-sets once broadcast their whole 2000 x 2000 grid at once: 61 MB
+    # for sumset, diffset and prodset, 75 MB for image_shifted_quad
+    ring = parse_ring_spec("zpr:p=3,r=8")
+    n = ring.order
+    X, Y = sample_subset(ring, 2000, 1), sample_subset(ring, 2000, 2)
+    images = {
+        "sumset": lambda: sumset(X, Y),
+        "diffset": lambda: diffset(X, Y),
+        "prodset": lambda: prodset(X, Y),
+        "image_shifted_quad": lambda: image_shifted_quad(ring, (1, 0, 0), X, Y, X),
+    }
+    got, peaks = {}, {}
+    tracemalloc.start()
+    try:
+        for name, image in images.items():
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            got[name] = image()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert all(peak < 4 * 2**20 for peak in peaks.values()), peaks
+    x, y = X.members[:, None], Y.members
+    squares = np.unique((x - y) % n) ** 2 % n
+    want = {
+        "sumset": (x + y) % n,
+        "diffset": (x - y) % n,
+        "prodset": x * y % n,
+        "image_shifted_quad": (np.unique(squares)[:, None] + X.members) % n,
+    }
+    for name, vals in want.items():
+        assert got[name].indices() == np.unique(vals).tolist(), name
 
 
 def test_image_empty_rejected(z9):
