@@ -32,7 +32,7 @@ from .experiments import (
     summarize,
 )
 from .incidence import incidence_bound_report, load_family, weighted_bound_report
-from .report import ReportList, ReportRun, jsonl_chunks, write_csv, write_jsonl
+from .report import ReportBlock, ReportList, jsonl_chunks, write_csv, write_jsonl
 from .ring import parse_ring_spec
 
 
@@ -116,7 +116,7 @@ def _cmd_incidence(args) -> int:
             if fam.max_weight != 1:
                 raise ValueError(f"{label} file carries weights; pass --weighted")
         rep = incidence_bound_report(ring, points.items, planes.items, seed=None)
-    reports = ReportList([ReportRun([rep])])
+    reports = ReportList(ReportBlock.runs([rep]))
     return _emit(reports, summarize(config, reports, 1), config.out, config.fmt)
 
 

@@ -19,17 +19,17 @@ A/B/C literals; an exhaustive block unranks its positions straight into
 masks; a random block runs sample_subsets on every trial and slot seed
 together, each row equal to the scalar draw.  A theorem with a block path
 (T1_3) takes the masks whole: one kernel sizes the image of every row, and
-the block's reports stay columns, a ReportBlock, which workers pickle as a
-few lists and --out renders from one template.  Every other set theorem
-gets one RSet per slot and row through _run_input, and its block is a
-ReportRun: a list of CheckReports with the same part methods as a
-ReportBlock.  Point and plane families (T2_2, T2_4) are built per input.
+the block's reports are concluded as columns, a ReportBlock.  Every other
+set theorem gets one RSet per slot and row through _run_input, and point
+and plane families (T2_2, T2_4) are built per input there; ReportBlock.runs
+turns those CheckReports into columns as the block collects them.  So every
+part of a sweep is a ReportBlock, which workers pickle as a few lists and
+--out renders from one template.
 
 run_experiment returns the blocks as a ReportList, which builds a
 CheckReport only when one is indexed or iterated.  summarize folds the
-parts one after another through those methods: verdict counts, the exact
-extremes by integer cross-multiplication, and the exact mean from
-per-denominator sums.
+blocks one after another: verdict counts, the exact extremes by integer
+cross-multiplication, and the exact mean from per-denominator sums.
 
 What a sweep needs to know about each theorem id (its set slots, whether
 random sets are units only, the config keys it reads, and the check calls)
@@ -66,9 +66,10 @@ from .checks import (
 )
 from .geometry import geometry_bound_report, line_count_report
 from .incidence import WeightedFamily, incidence_bound_report, weighted_bound_report
-from .report import VERDICTS, CheckReport, ReportList, ReportRun
+from .report import VERDICTS, CheckReport, ReportBlock, ReportList
 from .ring import Ring, parse_ring_spec
 from .sampling import (
+    code_triples,
     mix64,
     mix64_arr,
     sample_planes,
@@ -221,9 +222,7 @@ def _rank_masks(n: int, max_size: int, ranks: np.ndarray) -> np.ndarray:
 def _family(ring: Ring, count, sample, seed: int, salt: int) -> np.ndarray:
     """Every triple of the ring when count is "all", else count sampled ones."""
     if count == "all":
-        n = ring.order
-        codes = np.arange(n**3, dtype=np.int64)
-        return np.stack([codes // n**2, (codes // n) % n, codes % n], axis=1)
+        return code_triples(ring.order, np.arange(ring.order**3))
     return sample(ring, int(count), mix64(seed, salt))
 
 
@@ -408,8 +407,9 @@ def input_count(config: ExperimentConfig, ring: Ring) -> int:
 def _run_range(config: ExperimentConfig, lo: int, hi: int) -> list:
     """Reports of inputs lo..hi-1, walked in blocks of BLOCK_ELEMS // order inputs.
 
-    One part per block: a ReportBlock from a theorem's block path, else a
-    ReportRun of the block's CheckReports.
+    A theorem's block path gives one ReportBlock per block; every other
+    theorem runs each input through _run_input, and ReportBlock.runs turns
+    the block's CheckReports into columns.
     """
     ring = _ring_of(config.ring_spec)
     theorem = THEOREMS[config.theorem]
@@ -418,16 +418,16 @@ def _run_range(config: ExperimentConfig, lo: int, hi: int) -> list:
     for start in range(lo, hi, step):
         indices = range(start, min(hi, start + step))
         drawn = _block_sets(config, ring, indices)
-        if drawn is None:
-            parts.append(ReportRun(rep for index in indices for rep in _run_input(config, ring, index)))
-        elif theorem.block:
+        if theorem.block:
             parts.append(theorem.block(config, ring, *drawn))
         else:
-            masks, _ = drawn
-            parts.append(ReportRun(
+            masks = None if drawn is None else drawn[0]  # None for a family theorem
+            parts.extend(ReportBlock.runs(
                 rep
                 for row, index in enumerate(indices)
-                for rep in _run_input(config, ring, index, [RSet(ring, M[row]) for M in masks])
+                for rep in _run_input(
+                    config, ring, index, masks and [RSet(ring, M[row]) for M in masks]
+                )
             ))
     return parts
 

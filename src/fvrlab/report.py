@@ -6,39 +6,39 @@ conclusion is kept as a denominator-cleared exact integer comparison (lhs
 vs rhs); the ratio is the exact rational lhs/rhs and is only rendered to a
 float on serialization.
 
-A block sweep keeps its reports as columns instead: a :class:`ReportBlock`
-holds one column per field (gate rows, lhs and rhs as Python ints, verdict
-codes, seeds, set literals), and :meth:`ReportBlock.conclude` applies the
-same verdict rule to every row.  A :class:`ReportRun` is a plain list of
-CheckReports that answers the same part methods (verdict counts, ratio
-rows, sets, JSONL text).  A :class:`ReportList` strings a sweep's parts
-together in input order; indexing or iterating it builds each CheckReport
-on demand, while :func:`write_jsonl` and :func:`jsonl_chunks` render a
-block straight from its columns.
+A sweep keeps its reports as columns, in one part type: a
+:class:`ReportBlock` holds one column per field (gate rows, lhs and rhs as
+Python ints, verdict codes, seeds, set literals).  A block path builds one
+with :meth:`ReportBlock.conclude`, which applies the same verdict rule to
+every row; :meth:`ReportBlock.runs` turns concluded CheckReports into
+blocks, one per maximal run of consecutive reports that share theorem,
+ring, bound-row names and sets keys.  A :class:`ReportList` strings a
+sweep's blocks together in input order; indexing or iterating it builds
+each CheckReport on demand, while :func:`write_jsonl` and
+:func:`jsonl_chunks` render a block straight from its columns.
 
 The JSONL wire format per line (integers as decimal strings):
 {"theorem": str, "ring": str, "hypotheses": [{"name", "ok", "lhs", "rhs"}],
  "lhs": str, "rhs": str, "ratio": float|null, "verdict": str,
  "seed": int|null, "sets": {str: str}}
 
-One renderer, :func:`_json_line`, writes every line, for a CheckReport and
-a block row alike.  Its output is ``json.dumps(report.to_json_dict(),
-separators=(",", ":"), ensure_ascii=True)`` byte for byte: strings go
-through json's own ``encode_basestring_ascii``, and a ratio is rendered as
-``repr(lhs / rhs)``, since int true division rounds correctly and so gives
-the float of ``Fraction(lhs, rhs)``.
+A single report's line is ``json.dumps(report.to_json_dict(),
+separators=(",", ":"), ensure_ascii=True)``.  A block renders its lines from
+one template, :meth:`ReportBlock.jsonl`, equal to that byte for byte:
+strings go through json's own ``encode_basestring_ascii``, and a ratio is
+rendered as ``repr(lhs / rhs)``, since int true division rounds correctly
+and so gives the float of ``Fraction(lhs, rhs)``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -105,51 +105,6 @@ def _verdict(gates_ok: bool, holds: bool | None) -> str:
     if not gates_ok:
         return HYPOTHESIS_NOT_MET
     return RATIO_RECORDED if holds is None else PASS if holds else FAIL
-
-
-# -- the JSONL renderer ------------------------------------------------------
-
-_esc = json.encoder.encode_basestring_ascii
-
-
-def _json_line(theorem, ring, hypotheses, lhs, rhs, ratio, verdict, seed, sets) -> str:
-    """One report's line from the JSON text of each field.
-
-    ``hypotheses`` and ``sets`` are the bodies of the list and the object:
-    their members joined by commas, without the brackets.
-    """
-    return (
-        f'{{"theorem":{theorem},"ring":{ring},"hypotheses":[{hypotheses}],'
-        f'"lhs":{lhs},"rhs":{rhs},"ratio":{ratio},"verdict":{verdict},'
-        f'"seed":{seed},"sets":{{{sets}}}}}'
-    )
-
-
-def _value(value) -> str:
-    """The json.dumps text of one value."""
-    if isinstance(value, str):
-        return _esc(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value, separators=(",", ":"), ensure_ascii=True)
-
-
-def _number(value) -> str:
-    """The JSON text of an integer field, which the wire carries as a string."""
-    return _esc(str(value))
-
-
-def _hypothesis(name: str, ok: str, lhs: str, rhs: str) -> str:
-    """The JSON text of one bound row from the JSON text of each field."""
-    return f'{{"name":{name},"ok":{ok},"lhs":{lhs},"rhs":{rhs}}}'
 
 
 # -- single reports ----------------------------------------------------------
@@ -221,22 +176,7 @@ class CheckReport:
         }
 
     def to_json_line(self) -> str:
-        sets = ",".join(f"{_esc(key)}:{_value(value)}" for key, value in self.sets.items())
-        hypotheses = (
-            _hypothesis(_value(h.name), _value(h.ok), _number(h.lhs), _number(h.rhs))
-            for h in self.hypotheses
-        )
-        return _json_line(
-            _value(self.theorem),
-            _value(self.ring),
-            ",".join(hypotheses),
-            _number(self.lhs),
-            _number(self.rhs),
-            "null" if self.ratio is None else _value(float(self.ratio)),
-            _value(self.verdict),
-            _value(self.seed),
-            sets,
-        )
+        return json.dumps(self.to_json_dict(), separators=(",", ":"), ensure_ascii=True)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CheckReport":
@@ -262,15 +202,29 @@ class CheckReport:
 # -- blocks of reports -------------------------------------------------------
 
 
+_esc = json.encoder.encode_basestring_ascii
+
+
+def _value(value) -> str:
+    """The json.dumps text of a bool, an int or None."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return int.__repr__(value)
+
+
 @dataclass
 class ReportBlock:
     """The reports of a block of inputs, one column per field.
 
-    Row i is the report ``CheckReport.conclude`` gives for row i of every
-    column; build a block with :meth:`conclude`.  ``verdicts`` holds codes,
-    indices into VERDICTS; a row's ratio is lhs/rhs unless its verdict is
-    ``hypothesis_not_met``.  A sets column holds None where a row lacks that
-    key, except the first.  Every rhs with a ratio is positive.
+    Row i is a concluded report: build a block with :meth:`conclude` from
+    columns, or with :meth:`runs` from CheckReports.  ``verdicts`` holds
+    codes, indices into VERDICTS; a row's ratio is lhs/rhs unless its verdict
+    is ``hypothesis_not_met``.  A sets column holds None where a row lacks
+    that key, except the first.  Every rhs with a ratio is positive.
     """
 
     theorem: str
@@ -303,6 +257,48 @@ class ReportBlock:
             raise ValueError("the first sets column needs a value on every row")
         spec = ring.spec_string()
         return cls(theorem, spec, list(columns), lhs, rhs, verdicts, list(seeds), sets)
+
+    @classmethod
+    def runs(cls, reports) -> list["ReportBlock"]:
+        """Concluded CheckReports as blocks, in input order: one block per
+        maximal run of consecutive reports that share theorem, ring,
+        bound-row names and sets keys.
+
+        A block derives each ratio from lhs and rhs, so a report is refused
+        unless its ratio is None exactly when its verdict is
+        ``hypothesis_not_met``, and otherwise lhs/rhs with rhs positive.
+        """
+
+        def shape(rep):
+            return rep.theorem, rep.ring, tuple(h.name for h in rep.hypotheses), tuple(rep.sets)
+
+        blocks = []
+        for (theorem, ring, names, keys), run in groupby(reports, shape):
+            run = list(run)
+            for rep in run:
+                ratio, lhs, rhs = rep.ratio, rep.lhs, rep.rhs
+                if ratio is None:
+                    ok = rep.verdict == HYPOTHESIS_NOT_MET
+                else:
+                    ok = rep.verdict != HYPOTHESIS_NOT_MET and rhs > 0
+                    ok = ok and ratio.numerator * rhs == ratio.denominator * lhs
+                if not ok:
+                    raise ValueError(f"ratio {ratio} does not fit {rep.verdict} and {lhs}/{rhs}")
+            columns = [
+                BoundColumn(name, [h.ok for h in col], [h.lhs for h in col], [h.rhs for h in col])
+                for name, col in zip(names, zip(*(rep.hypotheses for rep in run)))
+            ]
+            blocks.append(cls(
+                theorem,
+                ring,
+                columns,
+                [rep.lhs for rep in run],
+                [rep.rhs for rep in run],
+                [VERDICTS.index(rep.verdict) for rep in run],
+                [rep.seed for rep in run],
+                {key: [rep.sets[key] for rep in run] for key in keys},
+            ))
+        return blocks
 
     def __len__(self) -> int:
         return len(self.verdicts)
@@ -338,9 +334,9 @@ class ReportBlock:
     def jsonl(self) -> str:
         """The JSONL text of every row, from one template per block.
 
-        _json_line renders the template from the block's constant texts,
-        with a "%s" slot for each per-row field; each row then fills the
-        slots from its column texts.
+        The template is the line of the wire format with the block's
+        constant texts in place and a "%s" slot for each per-row field; each
+        row then fills the slots from its column texts.
         """
         if not self.verdicts:
             return ""
@@ -351,74 +347,44 @@ class ReportBlock:
             return "%s"
 
         def const(text: str) -> str:
-            return text.replace("%", "%%")
+            return _esc(text).replace("%", "%%")
 
         def numbers(column):
             return map(_esc, map(str, column))
 
         hypotheses = ",".join(
-            _hypothesis(
-                const(_esc(col.name)),
-                slot(map(_value, col.ok)),
-                slot(numbers(col.lhs)),
-                slot(numbers(col.rhs)),
-            )
+            f'{{"name":{const(col.name)},"ok":{slot(map(_value, col.ok))},'
+            f'"lhs":{slot(numbers(col.lhs))},"rhs":{slot(numbers(col.rhs))}}}'
             for col in self.hypotheses
         )
         verdicts = [_esc(v) for v in VERDICTS]
-        head = [
-            slot(numbers(self.lhs)),
-            slot(numbers(self.rhs)),
-            slot([
-                "null" if code == _NOT_MET_CODE else float.__repr__(lhs / rhs)
-                for code, lhs, rhs in zip(self.verdicts, self.lhs, self.rhs)
-            ]),
-            slot(map(verdicts.__getitem__, self.verdicts)),
-            slot(map(_value, self.seeds)),
+        ratios = [
+            "null" if code == _NOT_MET_CODE else float.__repr__(lhs / rhs)
+            for code, lhs, rhs in zip(self.verdicts, self.lhs, self.rhs)
         ]
+        head = (  # slots are filled in template order, so head comes before the sets
+            f'"lhs":{slot(numbers(self.lhs))},"rhs":{slot(numbers(self.rhs))},'
+            f'"ratio":{slot(ratios)},"verdict":{slot(map(verdicts.__getitem__, self.verdicts))},'
+            f'"seed":{slot(map(_value, self.seeds))}'
+        )
         members = []
         for key, col in self.sets.items():
-            key = _esc(key)
             if None in col:  # the slot carries its own comma (see conclude)
-                members.append(slot(["" if v is None else f",{key}:{_esc(v)}" for v in col]))
+                members.append(slot(["" if v is None else f",{_esc(key)}:{_esc(v)}" for v in col]))
             else:
                 members.append(("," if members else "") + f"{const(key)}:{slot(map(_esc, col))}")
-        line = _json_line(
-            const(_esc(self.theorem)), const(_esc(self.ring)), hypotheses, *head, "".join(members)
+        line = (
+            f'{{"theorem":{const(self.theorem)},"ring":{const(self.ring)},'
+            f'"hypotheses":[{hypotheses}],{head},"sets":{{{"".join(members)}}}}}\n'
         )
-        return "".join(map((line + "\n").__mod__, zip(*texts)))
-
-
-class ReportRun(list):
-    """A list of CheckReports that answers as a ReportBlock does."""
-
-    def sets_at(self, i: int) -> dict[str, str]:
-        return dict(self[i].sets)
-
-    def verdict_counts(self) -> dict[str, int]:
-        counts = dict.fromkeys(VERDICTS, 0)
-        for rep in self:
-            counts[rep.verdict] += 1
-        return counts
-
-    def ratio_rows(self):
-        """(row, numerator, denominator) of every report with a ratio, in order."""
-        for row, rep in enumerate(self):
-            if rep.ratio is not None:
-                yield row, rep.ratio.numerator, rep.ratio.denominator
-
-    def report(self, i: int) -> CheckReport:
-        return self[i]
-
-    def jsonl(self) -> str:
-        return "".join(rep.to_json_line() + "\n" for rep in self)
+        return "".join(map(line.__mod__, zip(*texts)))
 
 
 class ReportList(Sequence):
-    """A sweep's reports in input order, from parts: ReportBlocks and ReportRuns.
+    """A sweep's reports in input order, from parts that are ReportBlocks.
 
     Indexing and iteration build each CheckReport of a block on demand;
-    ``parts`` gives the parts themselves.
+    ``parts`` gives the blocks themselves.
     """
 
     def __init__(self, parts):
@@ -448,12 +414,12 @@ class ReportList(Sequence):
 def jsonl_chunks(reports):
     """The JSONL text of reports, a ReportList or any iterable of CheckReports.
 
-    One piece per part of a ReportList; a block's piece comes from its columns.
+    One piece per block of a ReportList, rendered from its columns, and one
+    line per report of any other iterable.
     """
-    if not isinstance(reports, ReportList):
-        reports = ReportList([ReportRun(reports)])
-    for part in reports.parts:
-        yield part.jsonl()
+    if isinstance(reports, ReportList):
+        return (part.jsonl() for part in reports.parts)
+    return (rep.to_json_line() + "\n" for rep in reports)
 
 
 def sha256_prefix(data: bytes) -> str:

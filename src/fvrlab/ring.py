@@ -426,27 +426,35 @@ class Ring:
         pows = self.p ** np.arange(self.r * self.s, dtype=np.int64)
         return digits @ pows
 
+    def _mod(self, t: np.ndarray) -> np.ndarray:
+        """A zpr op's fresh result t, reduced in place: one temporary per op,
+        and still a new array, which callers may change (see setalg._pairs)."""
+        t %= self.order
+        return t
+
     def add_arr(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.kind == "zpr":
-            return (a + b) % self.order
+            return self._mod(a + b)
         return self._fqxr_op(self._add_digits, self._digitwise_table, a, b)
 
     def neg_arr(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         if self.kind == "zpr":
-            return (-a) % self.order
+            return self._mod(-a)
         return self._fqxr_op(self._neg_digits, self._digitwise_table, a)
 
     def sub_arr(self, a, b) -> np.ndarray:
-        return self.add_arr(a, self.neg_arr(np.asarray(b, dtype=np.int64)))
+        if self.kind == "zpr":
+            return self._mod(np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64))
+        return self.add_arr(a, self.neg_arr(b))
 
     def mul_arr(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.kind == "zpr":
-            return (a * b) % self.order
+            return self._mod(a * b)
         return self._fqxr_op(self._mul_digits, self._row_block_table, a, b)
 
     def _add_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

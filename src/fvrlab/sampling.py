@@ -153,16 +153,15 @@ def sample_unit_subset(ring: Ring, size: int, trial_seed: int) -> RSet:
     return RSet.from_indices(ring, [units[i] for i in picks])
 
 
+def code_triples(n: int, codes) -> np.ndarray:
+    """The (x, y, z) triples of codes x*n**2 + y*n + z, shape (len(codes), 3)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return np.stack([codes // n**2, codes // n % n, codes % n], axis=1)
+
+
 def sample_points(ring: Ring, count: int, seed: int) -> np.ndarray:
     """count distinct (x, y, z) triples, shape (count, 3)."""
-    n = ring.order
-    codes = sample_distinct(n**3, count, seed)
-    out = np.empty((count, 3), dtype=np.int64)
-    for row, code in enumerate(codes):
-        code, z = divmod(code, n)
-        x, y = divmod(code, n)
-        out[row] = (x, y, z)
-    return out
+    return code_triples(ring.order, sample_distinct(ring.order**3, count, seed))
 
 
 def sample_planes(ring: Ring, count: int, seed: int) -> np.ndarray:

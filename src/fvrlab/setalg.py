@@ -354,13 +354,9 @@ def _image_masks(spec: QuadPolySpec, A: np.ndarray, B: np.ndarray, C: np.ndarray
     rows, zs = C.nonzero()
     t_of_c = np.zeros(two_var.shape, dtype=bool)
     t_of_c[rows, _poly_table(ring, spec.T)[zs]] = True
-    covered = _covers(ring, two_var.sum(axis=1), t_of_c.sum(axis=1))
-    if not covered.any():
-        return _row_pairs(two_var, t_of_c, ring.add_arr)
+    rest = ~_covers(ring, two_var.sum(axis=1), t_of_c.sum(axis=1))
     out = np.ones(two_var.shape, dtype=bool)
-    rest = ~covered
-    if rest.any():
-        out[rest] = _row_pairs(two_var[rest], t_of_c[rest], ring.add_arr)
+    out[rest] = _row_pairs(two_var[rest], t_of_c[rest], ring.add_arr)
     return out
 
 

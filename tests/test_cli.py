@@ -9,7 +9,7 @@ import pytest
 
 from fvrlab import cli, experiments, geometry
 from fvrlab.cli import _emit, main
-from fvrlab.report import BoundRow, CheckReport
+from fvrlab.report import BoundRow, CheckReport, ReportBlock
 from fvrlab.ring import parse_ring_spec
 
 from conftest import child_env
@@ -386,6 +386,28 @@ def test_incidence_from_files(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.strip().split("\n")[0])
     assert report["theorem"] == "T2_4"
+
+
+def test_incidence_report_is_a_block(tmp_path, capsys, monkeypatch):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0,0,0\n1,2,3\n")
+    emitted = []
+
+    def emit(reports, *args):
+        emitted.append(reports)
+        return _emit(reports, *args)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    for weighted in ((), ("--weighted",)):
+        code, out, _ = run_cli(
+            capsys, "incidence", "--ring", "zpr:p=3,r=2",
+            "--points-file", str(pts), "--planes-file", str(pts), *weighted,
+        )
+        assert code == 0
+        reports = emitted[-1]
+        assert [type(part) for part in reports.parts] == [ReportBlock]
+        assert out.splitlines()[0] == reports[0].to_json_line()
+    assert [reports[0].theorem for reports in emitted] == ["T2_2", "T2_4"]
 
 
 def test_geometry_single_set(capsys):

@@ -21,7 +21,7 @@ from fvrlab.experiments import (
     run_experiment,
     subsets_up_to,
 )
-from fvrlab.report import CheckReport, ReportBlock, ReportList, ReportRun
+from fvrlab.report import CheckReport, ReportBlock, ReportList, jsonl_chunks
 from fvrlab.ring import parse_ring_spec
 from fvrlab.sampling import mix64, sample_subset
 from fvrlab.setalg import parse_quadpoly
@@ -235,7 +235,39 @@ def test_list_summary_equals_the_list_oracle():
     config = ExperimentConfig(theorem="T7_1", ring_spec=Z9, mode=parse_mode("random:4:30"), seed=6)
     reports, summary = run_experiment(config)
     assert summary == summarize_reports(config, reports, 30)
-    assert experiments.summarize(config, ReportList([ReportRun(reports)]), 30) == summary
+    # the summary does not depend on where the blocks split: one block per report
+    one_each = ReportList([block for rep in reports for block in ReportBlock.runs([rep])])
+    assert experiments.summarize(config, one_each, 30) == summary
+
+
+# one small sweep of every theorem id
+EVERY_THEOREM = [
+    dict(theorem="T1_3", f=QUAD_T, mode="random:2,2,3:20"),
+    dict(theorem="T1_5", mode="random:4:20"),
+    dict(theorem="T1_6", mode="exhaustive:2"),
+    dict(theorem="T1_7", poly1="1,0,2", mode="random:3:20"),
+    dict(theorem="T1_8", mode="random:5:20"),
+    dict(theorem="T1_9", d=2, mode="random:3:20"),
+    dict(theorem="T2_2", mode="random:6,5:6"),
+    dict(theorem="T2_4", mode="random:6,6:6"),
+    dict(theorem="T7_1", mode="random:3:10"),
+    dict(theorem="PLUN13", mode="random:4:20"),
+]
+
+
+@pytest.mark.parametrize("fields", EVERY_THEOREM, ids=[f["theorem"] for f in EVERY_THEOREM])
+def test_every_sweep_part_is_a_report_block(fields, monkeypatch):
+    fields = dict(fields, mode=parse_mode(fields["mode"]))
+    config = ExperimentConfig(ring_spec=Z9, seed=8, **fields)
+    reports, summary = run_experiment(config)
+    assert all(isinstance(part, ReportBlock) for part in reports.parts)
+    assert summary == summarize_reports(config, reports, summary["inputs"])
+    text = "".join(jsonl_chunks(reports))
+    assert text == "".join(rep.to_json_line() + "\n" for rep in reports)
+    # the bytes do not depend on the worker count
+    monkeypatch.setenv("FVRLAB_WORKERS", "2")
+    pooled, pooled_summary = run_experiment(config)
+    assert "".join(jsonl_chunks(pooled)) == text and pooled_summary == summary
 
 
 def test_block_sweep_to_out_builds_no_report_objects(tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
 """The JSONL renderer against json.dumps, for single reports and for blocks."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,13 +17,20 @@ from fvrlab.report import (
     CheckReport,
     ReportBlock,
     ReportList,
-    ReportRun,
     jsonl_chunks,
 )
 
 
 def dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+
+
+def ring_of(spec: str):
+    return SimpleNamespace(spec_string=lambda: spec)
+
+
+def verdict_counts(reports) -> dict[str, int]:
+    return {**dict.fromkeys(VERDICTS, 0), **Counter(rep.verdict for rep in reports)}
 
 
 # quotes, backslashes, control characters, "%" (the block template's slot
@@ -70,11 +79,9 @@ def blocks(draw):
     keys = draw(st.lists(TEXT, unique=True, max_size=4))
     # only the first sets column has a value on every row
     sets = {key: column(st.one_of(st.none(), TEXT) if i else TEXT) for i, key in enumerate(keys)}
-    spec = draw(TEXT)
-    ring = SimpleNamespace(spec_string=lambda: spec)
     holds = column(st.sampled_from([None, True, False]))
     return ReportBlock.conclude(
-        draw(st.sampled_from(THEOREMS)), ring, columns, sets, column(SEEDS),
+        draw(st.sampled_from(THEOREMS)), ring_of(draw(TEXT)), columns, sets, column(SEEDS),
         column(BIG), column(st.integers(1, 2**80)), holds,
     )
 
@@ -91,12 +98,79 @@ def test_block_lines_are_json_dumps_of_its_reports(block):
         assert rep.ratio == ratios.get(i)
         # the block's gate rule is gates_hold on the row's own bound rows
         assert (rep.verdict == "hypothesis_not_met") == (not rep.gates_ok)
-    run = ReportRun(map(block.report, range(len(block))))
-    assert block.verdict_counts() == run.verdict_counts()
-    assert ratios == {row: Fraction(num, den) for row, num, den in run.ratio_rows()}
-    mixed = ReportList([block, ReportRun([block.report(0)]), block])
+    run = list(map(block.report, range(len(block))))
+    assert block.verdict_counts() == verdict_counts(run)
+    assert ratios == {row: rep.ratio for row, rep in enumerate(run) if rep.ratio is not None}
+    mixed = ReportList([block, *ReportBlock.runs(run[:1]), block])
     assert "".join(jsonl_chunks(mixed)) == "".join(r.to_json_line() + "\n" for r in mixed)
     assert [r.to_json_line() for r in mixed[::-1]] == [r.to_json_line() for r in reversed(mixed)]
+
+
+@st.composite
+def concluded_runs(draw):
+    """Concluded CheckReports of a few shapes (theorem, ring, bound-row names,
+    sets keys), in a drawn order or alternating, with gates that may fail."""
+    names = st.lists(st.one_of(TEXT, st.sampled_from(["gate_a", "gate_b", "form_c"])), max_size=3)
+    shapes = draw(st.lists(
+        st.tuples(st.sampled_from(THEOREMS), TEXT, names, st.lists(TEXT, unique=True, max_size=3)),
+        min_size=1, max_size=3,
+    ))
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        order = [i % len(shapes) for i in range(n)]
+    else:
+        order = draw(st.lists(st.integers(0, len(shapes) - 1), min_size=n, max_size=n))
+    out = []
+    for k in order:
+        theorem, spec, row_names, keys = shapes[k]
+        rows = [BoundRow(name, draw(st.booleans()), draw(BIG), draw(BIG)) for name in row_names]
+        out.append(CheckReport.conclude(
+            theorem, ring_of(spec), rows, {key: draw(TEXT) for key in keys}, draw(SEEDS),
+            draw(BIG), draw(st.integers(1, 2**80)), draw(st.sampled_from([None, True, False])),
+        ))
+    return out
+
+
+def shape(rep):
+    return rep.theorem, rep.ring, [h.name for h in rep.hypotheses], list(rep.sets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(concluded_runs())
+def test_runs_render_and_read_back_as_the_reports(reps):
+    blocks = ReportBlock.runs(reps)
+    # one block per maximal run of one shape
+    changes = sum(shape(a) != shape(b) for a, b in zip(reps, reps[1:]))
+    assert len(blocks) == (changes + 1 if reps else 0)
+    reports = ReportList(blocks)
+    assert list(reports) == reps and [reports[i] for i in range(len(reps))] == reps
+    lines = "".join(dumps(rep.to_json_dict()) + "\n" for rep in reps)
+    assert "".join(block.jsonl() for block in blocks) == lines
+    assert "".join(jsonl_chunks(reports)) == lines == "".join(jsonl_chunks(reps))
+    counts = dict.fromkeys(VERDICTS, 0)
+    ratios = []
+    for block in blocks:
+        for verdict, count in block.verdict_counts().items():
+            counts[verdict] += count
+        ratios += [Fraction(lhs, rhs) for _, lhs, rhs in block.ratio_rows()]
+    assert counts == verdict_counts(reps)
+    assert ratios == [rep.ratio for rep in reps if rep.ratio is not None]
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, ratio, verdict",
+    [
+        (3, 4, Fraction(4, 3), "pass"),  # not lhs/rhs
+        (3, 4, None, "fail"),  # no ratio on a concluded verdict
+        (3, 4, Fraction(3, 4), "hypothesis_not_met"),  # a ratio past a failed gate
+        (-3, -4, Fraction(3, 4), "ratio_recorded"),  # lhs/rhs, but rhs is not positive
+    ],
+)
+def test_runs_refuse_a_ratio_the_block_cannot_derive(lhs, rhs, ratio, verdict):
+    good = CheckReport("T1_5", "zpr:p=3,r=2", [], 3, 4, Fraction(3, 4), "pass")
+    bad = CheckReport("T1_5", "zpr:p=3,r=2", [], lhs, rhs, ratio, verdict)
+    with pytest.raises(ValueError, match="does not fit"):
+        ReportBlock.runs([good, bad])
 
 
 @given(st.integers(2**53, 2**200), st.integers(2**53, 2**200), st.integers(1, 2**70))

@@ -240,7 +240,8 @@ def test_cayley_tables_equal_the_digit_oracle(p, s, r):
 
 def check_int64_results(ring):
     """Every *_arr gives int64, on 0-d input and on broadcast shapes, and
-    agrees with the scalar op."""
+    agrees with the scalar op.  A grid result is a new array, which callers
+    may change in place (setalg._pairs offsets it)."""
     n = ring.order
     x, y = n - 1, n // 2 + 1
     ops = [
@@ -259,6 +260,12 @@ def check_int64_results(ring):
         grid = arr_op(*[col, row][:arity])
         assert grid.dtype == np.int64
         assert grid.shape == ((4, 3) if arity == 2 else (4, 1))
+        assert grid.flags.writeable and not np.shares_memory(grid, col)
+        xs, ys = col[:, 0].tolist(), row.tolist()
+        if arity == 2:
+            assert grid.tolist() == [[scalar_op(a, b) for b in ys] for a in xs]
+        else:
+            assert grid.tolist() == [[scalar_op(a)] for a in xs]
 
 
 def test_first_tables_build_within_their_own_size(monkeypatch):
@@ -288,6 +295,9 @@ def test_int64_arithmetic_at_the_order_cap():
     a, b = np.array(ext)[:, None], np.array(ext)
     assert ring.mul_arr(a, b).tolist() == [[u * v % n for v in ext] for u in ext]
     assert ring.add_arr(a, b).tolist() == [[(u + v) % n for v in ext] for u in ext]
+    assert ring.sub_arr(a, b).tolist() == [[(u - v) % n for v in ext] for u in ext]
+    for spec in ("zpr:p=3,r=2", "zpr:p=3,r=8", "zpr:p=999983,r=1"):
+        check_int64_results(parse_ring_spec(spec))
     # incidence keys each plane by u * n + v, up to 10**12 here
     triples = np.array(list(itertools.product(ext[::2] + [n - 1], repeat=3)))
     assert count_incidences(ring, triples, triples) == brute_incidences(

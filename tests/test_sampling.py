@@ -1,16 +1,20 @@
 """Block sampling: every row of a block draw equals its scalar draw."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from fvrlab.experiments import ExperimentConfig, _random_masks, parse_mode
+from fvrlab.experiments import ExperimentConfig, _family, _random_masks, parse_mode
 from fvrlab.ring import parse_ring_spec
 from fvrlab.sampling import (
     SplitMix64,
     bounded_arr,
+    code_triples,
     mix64,
     mix64_arr,
     sample_distinct,
+    sample_points,
     sample_subset,
     sample_subsets,
     sample_unit_subset,
@@ -44,6 +48,19 @@ def test_block_rows_equal_sample_distinct(spec):
         assert rows.shape == (len(seeds), size)
         for seed, row in zip(seeds, rows.tolist()):
             assert row == sample_distinct(n, size, seed), (spec, size, seed)
+
+
+@pytest.mark.parametrize("spec", ["zpr:p=3,r=1", "zpr:p=3,r=2", "fqxr:p=3,s=2,r=2"])
+def test_code_triples_split_codes_as_divmod_does(spec):
+    ring = parse_ring_spec(spec)
+    n = ring.order
+    codes = sample_distinct(n**3, min(n**3, 450), 5)
+    triples = [[code // n**2, code // n % n, code % n] for code in codes]
+    assert code_triples(n, codes).tolist() == triples
+    assert sample_points(ring, len(codes), 5).tolist() == triples
+    if n <= 9:
+        every = _family(ring, "all", None, 0, 0).tolist()
+        assert every == [list(t) for t in itertools.product(range(n), repeat=3)]
 
 
 def test_domains_past_the_block_take_the_sparse_path():
