@@ -67,6 +67,14 @@ CASES = {
         "fbf50d98a4d83c09144a28f4782146537918b50bace78d3b1ef8fb19099a941c",
         "4ed7be4c871654244a18be4721d4a9c512617aaa53a20d5078b3bef482fa78b1",
     ),
+    # blocks of 9 rows on Z_6561, every A past LITERAL_CAP and so a digest
+    "T1_3-random-digests": (
+        ["check", "T1_3", "--ring", "zpr:p=3,r=8", "--f", F3,
+         "--mode", "random:4100,3,2:12", "--seed", "5", "--out", "d.jsonl"],
+        None, "d.jsonl", 0,
+        "76c42b15c7ab1be6bfa4667b713130a4128737610be1f1388ad12882319f8b27",
+        "17f7192beb4e8c913206a6170566cedfd8c11449bba1729b1f8ca960d23d9ba6",
+    ),
     "T1_3-random-csv": (
         ["check", "T1_3", "--ring", "fqxr:p=3,s=2,r=2", "--f", F9_QUAD,
          "--mode", "random:2,3,18:40", "--seed", "8", "--out", "t.csv", "--format", "csv"],
