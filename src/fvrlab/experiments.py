@@ -78,7 +78,14 @@ from .sampling import (
     sample_weights,
     shuffled,
 )
-from .setalg import BLOCK_ELEMS, RSet, member_masks, parse_quadpoly, parse_set_literal
+from .setalg import (
+    BLOCK_ELEMS,
+    RSet,
+    member_masks,
+    parse_index,
+    parse_quadpoly,
+    parse_set_literal,
+)
 
 EXHAUSTIVE_BUDGET = 10**7
 
@@ -163,7 +170,7 @@ def _poly1_of(literal: str) -> tuple[int, int, int]:
     toks = literal.split(",")
     if len(toks) != 3:
         raise ValueError("poly1 must be 'c2,c1,c0'")
-    return tuple(int(t) for t in toks)
+    return tuple(map(parse_index, toks))
 
 
 # ---------------------------------------------------------------------------

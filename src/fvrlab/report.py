@@ -24,10 +24,14 @@ The JSONL wire format per line (integers as decimal strings):
 
 A single report's line is ``json.dumps(report.to_json_dict(),
 separators=(",", ":"), ensure_ascii=True)``.  A block renders its lines from
-one template, :meth:`ReportBlock.jsonl`, equal to that byte for byte:
-strings go through json's own ``encode_basestring_ascii``, and a ratio is
-rendered as ``repr(lhs / rhs)``, since int true division rounds correctly
-and so gives the float of ``Fraction(lhs, rhs)``.
+one template, :meth:`ReportBlock.jsonl`, equal to that byte for byte: names,
+verdicts and set literals go through json's own ``encode_basestring_ascii``;
+integers (lhs, rhs, bound-row sides, and seeds when none is null) fill
+their slots as they are, since decimal digits need no escaping; and a ratio
+is rendered as ``repr(lhs / rhs)``, since int true division rounds
+correctly and so gives the float of ``Fraction(lhs, rhs)``.  Set literals
+come from :func:`literals_or_digests`, which renders each distinct mask row
+of a block once.
 """
 
 from __future__ import annotations
@@ -106,6 +110,13 @@ def _verdict(gates_ok: bool, holds: bool | None) -> str:
         return HYPOTHESIS_NOT_MET
     return RATIO_RECORDED if holds is None else PASS if holds else FAIL
 
+
+# the verdict code of every (gates_ok, holds) pair, by the same rule
+_CODES = {
+    (ok, holds): VERDICTS.index(_verdict(ok, holds))
+    for ok in (True, False)
+    for holds in (None, True, False)
+}
 
 # -- single reports ----------------------------------------------------------
 
@@ -248,9 +259,10 @@ class ReportBlock:
         if theorem not in THEOREMS:
             raise ValueError(f"unknown theorem id {theorem!r}")
         gates_ok = gates_hold_columns(columns, len(seeds))
-        verdicts = [VERDICTS.index(_verdict(*pair)) for pair in zip(gates_ok, holds)]
-        lhs = [x if ok else 0 for x, ok in zip(lhs, gates_ok)]
-        rhs = [x if ok else 0 for x, ok in zip(rhs, gates_ok)]
+        verdicts = list(map(_CODES.__getitem__, zip(gates_ok, holds)))
+        # Python ints, whose true division lhs / rhs is the correctly rounded ratio
+        lhs = [int(x) if ok else 0 for x, ok in zip(lhs, gates_ok)]
+        rhs = [int(x) if ok else 0 for x, ok in zip(rhs, gates_ok)]
         if any(x <= 0 for x, ok in zip(rhs, gates_ok) if ok):
             raise ValueError("a ratio needs a positive rhs")
         if sets and None in next(iter(sets.values())):
@@ -336,7 +348,10 @@ class ReportBlock:
 
         The template is the line of the wire format with the block's
         constant texts in place and a "%s" slot for each per-row field; each
-        row then fills the slots from its column texts.
+        row then fills the slots from its columns.  Integer columns fill
+        their slots as they are (lhs and rhs inside quotes the template
+        holds), seeds too unless one is None; bools, None seeds and strings
+        fill them with their JSON texts.
         """
         if not self.verdicts:
             return ""
@@ -349,12 +364,9 @@ class ReportBlock:
         def const(text: str) -> str:
             return _esc(text).replace("%", "%%")
 
-        def numbers(column):
-            return map(_esc, map(str, column))
-
-        hypotheses = ",".join(
+        hypotheses = ",".join(  # decimal digits need no escaping: ints fill "%s" as is
             f'{{"name":{const(col.name)},"ok":{slot(map(_value, col.ok))},'
-            f'"lhs":{slot(numbers(col.lhs))},"rhs":{slot(numbers(col.rhs))}}}'
+            f'"lhs":"{slot(col.lhs)}","rhs":"{slot(col.rhs)}"}}'
             for col in self.hypotheses
         )
         verdicts = [_esc(v) for v in VERDICTS]
@@ -362,10 +374,11 @@ class ReportBlock:
             "null" if code == _NOT_MET_CODE else float.__repr__(lhs / rhs)
             for code, lhs, rhs in zip(self.verdicts, self.lhs, self.rhs)
         ]
+        seeds = map(_value, self.seeds) if None in self.seeds else self.seeds
         head = (  # slots are filled in template order, so head comes before the sets
-            f'"lhs":{slot(numbers(self.lhs))},"rhs":{slot(numbers(self.rhs))},'
+            f'"lhs":"{slot(self.lhs)}","rhs":"{slot(self.rhs)}",'
             f'"ratio":{slot(ratios)},"verdict":{slot(map(verdicts.__getitem__, self.verdicts))},'
-            f'"seed":{slot(map(_value, self.seeds))}'
+            f'"seed":{slot(seeds)}'
         )
         members = []
         for key, col in self.sets.items():
@@ -431,22 +444,29 @@ def sha256_prefix(data: bytes) -> str:
 
 def set_literal_or_digest(rset) -> str:
     """Member literal, or size plus a content hash for very large sets."""
-    return literals_or_digests(rset.mask[None, :])[0]
+    return _literal_or_digest(rset.mask)
+
+
+def _literal_or_digest(mask: np.ndarray) -> str:
+    """The literal of one bool membership mask, or its digest past LITERAL_CAP."""
+    members = mask.nonzero()[0]
+    if len(members) <= LITERAL_CAP:
+        return ",".join(map(str, members.tolist()))
+    return f"size={len(members)};sha256={sha256_prefix(mask.tobytes())}"
 
 
 def literals_or_digests(masks: np.ndarray) -> list[str]:
-    """set_literal_or_digest of every row of a (rows, order) bool membership mask."""
-    rows, members = masks.nonzero()
-    ends = np.bincount(rows, minlength=len(masks)).cumsum().tolist()
-    members = members.tolist()
-    out, lo = [], 0
-    for row, hi in enumerate(ends):
-        if hi - lo <= LITERAL_CAP:
-            out.append(",".join(map(str, members[lo:hi])))
-        else:
-            out.append(f"size={hi - lo};sha256={sha256_prefix(masks[row].tobytes())}")
-        lo = hi
-    return out
+    """set_literal_or_digest of every row of a (rows, order) bool membership mask.
+
+    Each distinct row is rendered once: rows are keyed by their packed bits
+    (packbits pads with zeros, so equal keys mean equal rows), and equal
+    rows share one str.
+    """
+    packed = np.packbits(masks, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    texts = [_literal_or_digest(masks[row]) for row in first.tolist()]
+    return list(map(texts.__getitem__, inverse.ravel().tolist()))
 
 
 def write_jsonl(reports, path: str) -> None:

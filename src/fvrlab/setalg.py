@@ -83,6 +83,19 @@ class RSet:
         return f"RSet({self.ring.spec_string()}, {{{self.literal}}})"
 
 
+def parse_index(token: str) -> int:
+    """One index token of a literal: ASCII decimal digits, maybe a leading
+    '-' (left for the range check to refuse), whitespace around allowed.
+
+    int() alone would also read '1_0', '+1' and non-ASCII digits.
+    """
+    text = token.strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"malformed index {token!r}")
+    return int(text)
+
+
 def parse_set_literal(ring: Ring, text: str) -> RSet:
     """Parse comma-separated canonical indices; 'all' means the whole ring."""
     text = text.strip()
@@ -91,7 +104,7 @@ def parse_set_literal(ring: Ring, text: str) -> RSet:
     if not text:
         raise ValueError("empty set literal")
     try:
-        indices = [int(tok) for tok in text.split(",")]
+        indices = [parse_index(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"malformed set literal {text!r}") from None
     return RSet.from_indices(ring, indices)
@@ -249,7 +262,10 @@ def parse_quadpoly(ring: Ring, text: str) -> QuadPolySpec:
         key, eq, val = part.partition("=")
         if not eq:
             raise ValueError(f"malformed polynomial field {part!r}")
-        fields[key.strip()] = val.strip()
+        key = key.strip()
+        if key in fields:
+            raise ValueError(f"polynomial field {key!r} given twice")
+        fields[key] = val.strip()
     if set(fields) != {"a", "R", "S", "T"}:
         raise ValueError("polynomial literal must define a, R, S, T")
 
@@ -257,11 +273,10 @@ def parse_quadpoly(ring: Ring, text: str) -> QuadPolySpec:
         toks = raw.split(",")
         if len(toks) != 3:
             raise ValueError(f"coefficient triple {raw!r} needs 3 entries")
-        return (int(toks[0]), int(toks[1]), int(toks[2]))
+        return tuple(map(parse_index, toks))
 
-    return QuadPolySpec(
-        ring, int(fields["a"]), triple(fields["R"]), triple(fields["S"]), triple(fields["T"])
-    )
+    a = parse_index(fields["a"])
+    return QuadPolySpec(ring, a, triple(fields["R"]), triple(fields["S"]), triple(fields["T"]))
 
 
 @lru_cache(maxsize=512)

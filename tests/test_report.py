@@ -1,15 +1,21 @@
 """The JSONL renderer against json.dumps, for single reports and for blocks."""
 
+import hashlib
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fvrlab import report
 from fvrlab.report import (
+    LITERAL_CAP,
     THEOREMS,
     VERDICTS,
     BoundColumn,
@@ -18,7 +24,11 @@ from fvrlab.report import (
     ReportBlock,
     ReportList,
     jsonl_chunks,
+    literals_or_digests,
+    set_literal_or_digest,
 )
+from fvrlab.ring import make_ring
+from fvrlab.setalg import RSet
 
 
 def dumps(obj) -> str:
@@ -39,6 +49,7 @@ SPECIAL = st.sampled_from('"\\%{}:,\x00\x1f\x7f\u00e9\u2028\U0001f600')
 TEXT = st.text(alphabet=st.one_of(SPECIAL, st.characters()), max_size=12)
 BIG = st.integers(-(2**80), 2**80)
 SEEDS = st.one_of(st.sampled_from([None, 0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+INT64 = st.integers(-(2**63), 2**63 - 1).map(np.int64)
 
 
 @st.composite
@@ -74,15 +85,24 @@ def blocks(draw):
     def column(values):
         return draw(st.lists(values, min_size=n, max_size=n))
 
+    def numbers(ints, int64s):
+        # Python ints, numpy int64s or a mix: each fills its "%s" slot as is
+        return column(draw(st.sampled_from([ints, int64s, st.one_of(ints, int64s)])))
+
     names = draw(st.lists(st.one_of(TEXT, st.sampled_from(["gate_a", "gate_b"])), max_size=3))
-    columns = [BoundColumn(name, column(st.booleans()), column(BIG), column(BIG)) for name in names]
+    columns = [
+        BoundColumn(name, column(st.booleans()), numbers(BIG, INT64), numbers(BIG, INT64))
+        for name in names
+    ]
     keys = draw(st.lists(TEXT, unique=True, max_size=4))
     # only the first sets column has a value on every row
     sets = {key: column(st.one_of(st.none(), TEXT) if i else TEXT) for i, key in enumerate(keys)}
     holds = column(st.sampled_from([None, True, False]))
+    # seeds all ints (slotted as is), all None, or mixed
+    seeds = column(draw(st.sampled_from([st.integers(0, 2**64 - 1), st.none(), SEEDS])))
     return ReportBlock.conclude(
-        draw(st.sampled_from(THEOREMS)), ring_of(draw(TEXT)), columns, sets, column(SEEDS),
-        column(BIG), column(st.integers(1, 2**80)), holds,
+        draw(st.sampled_from(THEOREMS)), ring_of(draw(TEXT)), columns, sets, seeds,
+        numbers(BIG, INT64), numbers(st.integers(1, 2**80), INT64.filter(lambda x: x > 0)), holds,
     )
 
 
@@ -178,3 +198,53 @@ def test_int_true_division_is_the_fraction_float(num, den, scale):
     # the block renders a ratio as lhs / rhs on the unreduced sides
     assert (num * scale) / (den * scale) == float(Fraction(num, den))
     assert num / scale == float(Fraction(num, scale))
+
+
+def literal_oracle(row, cap=LITERAL_CAP) -> str:
+    members = [str(i) for i, member in enumerate(row.tolist()) if member]
+    if len(members) <= cap:
+        return ",".join(members)
+    return f"size={len(members)};sha256={hashlib.sha256(row.tobytes()).hexdigest()[:16]}"
+
+
+@st.composite
+def mask_blocks(draw):
+    """(rows, order) bool masks from a few distinct rows, repeated: empty and
+    full rows, single rows, orders off multiples of 8, and row views."""
+    order = draw(st.integers(1, 70))
+    row = st.one_of(
+        st.sampled_from([[False] * order, [True] * order]),
+        st.lists(st.booleans(), min_size=order, max_size=order),
+    )
+    base = draw(st.lists(row, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), max_size=12))
+    masks = np.array([base[k] for k in picks], dtype=bool).reshape(len(picks), order)
+    return masks[::-1] if draw(st.booleans()) else masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_blocks(), st.integers(0, 70))
+def test_literals_or_digests_render_every_row_as_the_oracle(masks, cap):
+    # a cap below the row sizes sends rows down the digest path as well
+    with patch.object(report, "LITERAL_CAP", cap):
+        texts = literals_or_digests(masks)
+    assert texts == [literal_oracle(row, cap) for row in masks]
+    # equal rows share one str
+    keys = [row.tobytes() for row in masks]
+    for i, j in zip(range(len(masks)), range(1, len(masks))):
+        assert (texts[i] is texts[j]) == (keys[i] == keys[j])
+
+
+def test_literals_past_the_cap_are_digests():
+    ring = make_ring("zpr", 3, r=8)  # order 6561
+    rng = np.random.default_rng(5)
+    masks = np.zeros((4, ring.order), dtype=bool)
+    for row, size in enumerate((LITERAL_CAP + 1, LITERAL_CAP, LITERAL_CAP + 1, ring.order)):
+        masks[row, rng.choice(ring.order, size, replace=False)] = True
+    masks[2] = masks[0]
+    texts = literals_or_digests(masks)
+    assert texts == [literal_oracle(row) for row in masks]
+    assert re.fullmatch(f"size={LITERAL_CAP + 1};sha256=[0-9a-f]{{16}}", texts[0])
+    assert texts[1].count(",") == LITERAL_CAP - 1
+    assert texts[0] is texts[2]
+    assert [set_literal_or_digest(RSet(ring, row)) for row in masks] == texts
