@@ -31,7 +31,7 @@ their slots as they are, since decimal digits need no escaping; and a ratio
 is rendered as ``repr(lhs / rhs)``, since int true division rounds
 correctly and so gives the float of ``Fraction(lhs, rhs)``.  Set literals
 come from :func:`literals_or_digests`, which renders each distinct mask row
-of a block once.
+of a large block once.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ THEOREMS = (
 
 # how many members a set literal may list before being digested
 LITERAL_CAP = 4096
+# how many mask rows make literals_or_digests look for repeated rows
+DISTINCT_MIN_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,6 @@ def _verdict(gates_ok: bool, holds: bool | None) -> str:
         return HYPOTHESIS_NOT_MET
     return RATIO_RECORDED if holds is None else PASS if holds else FAIL
 
-
-# the verdict code of every (gates_ok, holds) pair, by the same rule
-_CODES = {
-    (ok, holds): VERDICTS.index(_verdict(ok, holds))
-    for ok in (True, False)
-    for holds in (None, True, False)
-}
 
 # -- single reports ----------------------------------------------------------
 
@@ -254,15 +249,15 @@ class ReportBlock:
         ``columns`` are the bound rows as BoundColumns, and ``holds`` is a
         column of the caller's cleared comparisons (None entries for a
         ``ratio_recorded`` claim).  lhs and rhs are read only on rows whose
-        gates hold.
+        gates hold, and must be Python ints: their true division is the
+        correctly rounded ratio, where a numpy int64 division is not.
         """
         if theorem not in THEOREMS:
             raise ValueError(f"unknown theorem id {theorem!r}")
         gates_ok = gates_hold_columns(columns, len(seeds))
-        verdicts = list(map(_CODES.__getitem__, zip(gates_ok, holds)))
-        # Python ints, whose true division lhs / rhs is the correctly rounded ratio
-        lhs = [int(x) if ok else 0 for x, ok in zip(lhs, gates_ok)]
-        rhs = [int(x) if ok else 0 for x, ok in zip(rhs, gates_ok)]
+        verdicts = [VERDICTS.index(_verdict(*pair)) for pair in zip(gates_ok, holds)]
+        lhs = [x if ok else 0 for x, ok in zip(lhs, gates_ok)]
+        rhs = [x if ok else 0 for x, ok in zip(rhs, gates_ok)]
         if any(x <= 0 for x, ok in zip(rhs, gates_ok) if ok):
             raise ValueError("a ratio needs a positive rhs")
         if sets and None in next(iter(sets.values())):
@@ -444,28 +439,46 @@ def sha256_prefix(data: bytes) -> str:
 
 def set_literal_or_digest(rset) -> str:
     """Member literal, or size plus a content hash for very large sets."""
-    return _literal_or_digest(rset.mask)
+    return _literals(rset.mask[None])[0]
 
 
-def _literal_or_digest(mask: np.ndarray) -> str:
-    """The literal of one bool membership mask, or its digest past LITERAL_CAP."""
-    members = mask.nonzero()[0]
-    if len(members) <= LITERAL_CAP:
-        return ",".join(map(str, members.tolist()))
-    return f"size={len(members)};sha256={sha256_prefix(mask.tobytes())}"
+def _literals(masks: np.ndarray) -> list[str]:
+    """The literal of every row of a bool membership mask, or its digest
+    past LITERAL_CAP members."""
+    rows, members = masks.nonzero()
+    ends = np.bincount(rows, minlength=len(masks)).cumsum().tolist()
+    # one decimal text per element, once the members are as many as the
+    # elements; a ring of at most LITERAL_CAP elements has no digest rows,
+    # so every member is then named and the table never goes unused
+    order = masks.shape[1]
+    table = order <= min(len(members), LITERAL_CAP)
+    name = list(map(str, range(order))).__getitem__ if table else str
+    members = members.tolist()
+    out, lo = [], 0
+    for row, hi in enumerate(ends):
+        if hi - lo <= LITERAL_CAP:
+            out.append(",".join(map(name, members[lo:hi])))
+        else:
+            out.append(f"size={hi - lo};sha256={sha256_prefix(masks[row].tobytes())}")
+        lo = hi
+    return out
 
 
 def literals_or_digests(masks: np.ndarray) -> list[str]:
     """set_literal_or_digest of every row of a (rows, order) bool membership mask.
 
-    Each distinct row is rendered once: rows are keyed by their packed bits
-    (packbits pads with zeros, so equal keys mean equal rows), and equal
-    rows share one str.
+    A block of DISTINCT_MIN_ROWS rows or more renders each distinct row
+    once: rows are keyed by their packed bits (packbits pads with zeros, so
+    equal keys mean equal rows), and equal rows share one str.  A smaller
+    block is rendered row by row, since np.unique costs about as much as
+    rendering that many rows.
     """
+    if len(masks) < DISTINCT_MIN_ROWS:
+        return _literals(masks)
     packed = np.packbits(masks, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    texts = [_literal_or_digest(masks[row]) for row in first.tolist()]
+    texts = _literals(masks[first])
     return list(map(texts.__getitem__, inverse.ravel().tolist()))
 
 

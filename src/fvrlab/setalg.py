@@ -85,9 +85,11 @@ class RSet:
 
 def parse_index(token: str) -> int:
     """One index token of a literal: ASCII decimal digits, maybe a leading
-    '-' (left for the range check to refuse), whitespace around allowed.
+    '-', whitespace around allowed.
 
-    int() alone would also read '1_0', '+1' and non-ASCII digits.
+    The value is int()'s: a negative index is left for the range check to
+    refuse, while '-0' reads as 0 and leading zeros are dropped ('007' is
+    7).  int() alone would also read '1_0', '+1' and non-ASCII digits.
     """
     text = token.strip()
     digits = text[1:] if text.startswith("-") else text

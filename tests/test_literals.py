@@ -161,6 +161,11 @@ def test_index_tokens_keep_spaces_and_the_range_error():
         parse_set_literal(ring, "0,-1")
     with pytest.raises(ValueError, match="index -1 out of range"):
         parse_quadpoly(ring, "a=-1;R=0,0,0;S=0,0,0;T=0,1,0")
+    # '-0' and leading zeros read as the plain index
+    assert parse_set_literal(ring, "-0,007,-00").indices() == [0, 7]
+    assert parse_quadpoly(ring, "a=01;R=0,0,-0;S=0,0,0;T=0,1,0").literal == (
+        "a=1;R=0,0,0;S=0,0,0;T=0,1,0"
+    )
 
 
 def test_repeated_polynomial_fields_are_refused():

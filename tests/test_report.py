@@ -86,25 +86,22 @@ def blocks(draw):
     def column(values):
         return draw(st.lists(values, min_size=n, max_size=n))
 
-    def numbers(ints, int64s):
-        # Python ints, numpy int64s or a mix: each fills its "%s" slot as is
-        return column(draw(st.sampled_from([ints, int64s, st.one_of(ints, int64s)])))
+    def sides():
+        # Python ints, numpy int64s or a mix: each fills its "%s" slot as is;
+        # bound rows are never divided, so they may hold int64s
+        return column(draw(st.sampled_from([BIG, INT64, st.one_of(BIG, INT64)])))
 
     names = draw(st.lists(st.one_of(TEXT, st.sampled_from(["gate_a", "gate_b"])), max_size=3))
-    columns = [
-        BoundColumn(name, column(st.booleans()), numbers(BIG, INT64), numbers(BIG, INT64))
-        for name in names
-    ]
+    columns = [BoundColumn(name, column(st.booleans()), sides(), sides()) for name in names]
     keys = draw(st.lists(TEXT, unique=True, max_size=4))
     # only the first sets column has a value on every row
     sets = {key: column(st.one_of(st.none(), TEXT) if i else TEXT) for i, key in enumerate(keys)}
     holds = column(st.sampled_from([None, True, False]))
     # seeds all ints (slotted as is), all None, or mixed
     seeds = column(draw(st.sampled_from([st.integers(0, 2**64 - 1), st.none(), SEEDS])))
-    rhs = numbers(st.integers(1, 2**80), st.integers(1, 2**63 - 1).map(np.int64))
     return ReportBlock.conclude(
         draw(st.sampled_from(THEOREMS)), ring_of(draw(TEXT)), columns, sets, seeds,
-        numbers(BIG, INT64), rhs, holds,
+        column(BIG), column(st.integers(1, 2**80)), holds,
     )
 
 
@@ -225,13 +222,16 @@ def mask_blocks(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(mask_blocks(), st.integers(0, 70))
-def test_literals_or_digests_render_every_row_as_the_oracle(masks, cap):
-    # a cap below the row sizes sends rows down the digest path as well
-    with patch.object(report, "LITERAL_CAP", cap):
+@given(mask_blocks(), st.integers(0, 70), st.integers(0, 13))
+def test_literals_or_digests_render_every_row_as_the_oracle(masks, cap, min_rows):
+    # a cap below the row sizes sends rows down the digest path as well, and
+    # blocks on both sides of DISTINCT_MIN_ROWS take both paths
+    with patch.object(report, "LITERAL_CAP", cap), patch.object(report, "DISTINCT_MIN_ROWS", min_rows):
         texts = literals_or_digests(masks)
     assert texts == [literal_oracle(row, cap) for row in masks]
-    # equal rows share one str
+    if len(masks) < min_rows:
+        return
+    # equal rows of a block searched for repeats share one str
     keys = [row.tobytes() for row in masks]
     for i, j in combinations(range(len(masks)), 2):
         assert (texts[i] is texts[j]) == (keys[i] == keys[j])
@@ -248,5 +248,7 @@ def test_literals_past_the_cap_are_digests():
     assert texts == [literal_oracle(row) for row in masks]
     assert re.fullmatch(f"size={LITERAL_CAP + 1};sha256=[0-9a-f]{{16}}", texts[0])
     assert texts[1].count(",") == LITERAL_CAP - 1
-    assert texts[0] is texts[2]
+    with patch.object(report, "DISTINCT_MIN_ROWS", 0):  # searched for repeats
+        shared = literals_or_digests(masks)
+    assert shared == texts and shared[0] is shared[2]
     assert [set_literal_or_digest(RSet(ring, row)) for row in masks] == texts
