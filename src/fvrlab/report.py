@@ -439,7 +439,15 @@ def sha256_prefix(data: bytes) -> str:
 
 def set_literal_or_digest(rset) -> str:
     """Member literal, or size plus a content hash for very large sets."""
-    return _literals(rset.mask[None])[0]
+    members = rset.mask.nonzero()[0]
+    if len(members) <= LITERAL_CAP:
+        return ",".join(map(str, members.tolist()))
+    return _digest(rset.mask, len(members))
+
+
+def _digest(mask: np.ndarray, size: int) -> str:
+    """The text of a bool membership mask with size members past LITERAL_CAP."""
+    return f"size={size};sha256={sha256_prefix(mask.tobytes())}"
 
 
 def _literals(masks: np.ndarray) -> list[str]:
@@ -451,7 +459,7 @@ def _literals(masks: np.ndarray) -> list[str]:
     # elements; a ring of at most LITERAL_CAP elements has no digest rows,
     # so every member is then named and the table never goes unused
     order = masks.shape[1]
-    table = order <= min(len(members), LITERAL_CAP)
+    table = order <= len(members) and order <= LITERAL_CAP
     name = list(map(str, range(order))).__getitem__ if table else str
     members = members.tolist()
     out, lo = [], 0
@@ -459,7 +467,7 @@ def _literals(masks: np.ndarray) -> list[str]:
         if hi - lo <= LITERAL_CAP:
             out.append(",".join(map(name, members[lo:hi])))
         else:
-            out.append(f"size={hi - lo};sha256={sha256_prefix(masks[row].tobytes())}")
+            out.append(_digest(masks[row], hi - lo))
         lo = hi
     return out
 

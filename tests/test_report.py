@@ -228,7 +228,8 @@ def test_literals_or_digests_render_every_row_as_the_oracle(masks, cap, min_rows
     # blocks on both sides of DISTINCT_MIN_ROWS take both paths
     with patch.object(report, "LITERAL_CAP", cap), patch.object(report, "DISTINCT_MIN_ROWS", min_rows):
         texts = literals_or_digests(masks)
-    assert texts == [literal_oracle(row, cap) for row in masks]
+        one_by_one = [set_literal_or_digest(SimpleNamespace(mask=row)) for row in masks]
+    assert texts == one_by_one == [literal_oracle(row, cap) for row in masks]
     if len(masks) < min_rows:
         return
     # equal rows of a block searched for repeats share one str
