@@ -478,7 +478,7 @@ def literals_or_digests(masks: np.ndarray) -> list[str]:
     A block of DISTINCT_MIN_ROWS rows or more renders each distinct row
     once: rows are keyed by their packed bits (packbits pads with zeros, so
     equal keys mean equal rows), and equal rows share one str.  A smaller
-    block is rendered row by row, since np.unique costs about as much as
+    block skips the search, since np.unique costs about as much as
     rendering that many rows.
     """
     if len(masks) < DISTINCT_MIN_ROWS:
