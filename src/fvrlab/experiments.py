@@ -50,7 +50,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -108,13 +108,13 @@ def parse_mode(text: str) -> Mode:
     parts = text.split(":")
     try:
         if parts[0] == "exhaustive" and len(parts) == 2:
-            k = int(parts[1])
+            k = parse_index(parts[1])
             if k < 1:
                 raise ValueError
             return Mode("exhaustive", max_size=k)
         if parts[0] == "random" and len(parts) == 3:
-            sizes = tuple(int(s) for s in parts[1].split(","))
-            trials = int(parts[2])
+            sizes = tuple(map(parse_index, parts[1].split(",")))
+            trials = parse_index(parts[2])
             if trials < 1 or not sizes or any(s < 1 for s in sizes):
                 raise ValueError
             return Mode("random", sizes=sizes, trials=trials)
@@ -230,13 +230,16 @@ def _family(ring: Ring, count, sample, seed: int, salt: int) -> np.ndarray:
     """Every triple of the ring when count is "all", else count sampled ones."""
     if count == "all":
         return code_triples(ring.order, np.arange(ring.order**3))
-    return sample(ring, int(count), mix64(seed, salt))
+    return sample(ring, count, mix64(seed, salt))
 
 
 def _family_pair(config: ExperimentConfig, ring: Ring, index: int):
     """Points, planes and report seed of one family input."""
     if config.mode is None:
-        counts = (config.points, config.planes)
+        counts = tuple(
+            c if c in (None, "all") else parse_index(c, f"{name} count")
+            for c, name in ((config.points, "point"), (config.planes, "plane"))
+        )
         seed = None if counts == ("all", "all") else config.seed
     else:
         counts = config.mode.sizes  # input_count refuses points/planes here
@@ -473,7 +476,7 @@ def _worker_count() -> int:
     raw = os.environ.get("FVRLAB_WORKERS", "")
     if not raw:
         return 1
-    count = int(raw)
+    count = parse_index(raw, "FVRLAB_WORKERS")
     if count < 1:
         raise ValueError("FVRLAB_WORKERS must be a positive integer")
     return count
@@ -560,13 +563,13 @@ _FIELDS = {
     "theorem": ("theorem", str),
     "ring": ("ring_spec", str),
     "mode": ("mode", parse_mode),
-    "seed": ("seed", int),
+    "seed": ("seed", partial(parse_index, what="seed")),
     "f": ("f", str),
     "poly1": ("poly1", str),
-    "d": ("d", int),
+    "d": ("d", partial(parse_index, what="d")),
     "points": ("points", str),
     "planes": ("planes", str),
-    "max_weight": ("max_weight", int),
+    "max_weight": ("max_weight", partial(parse_index, what="max_weight")),
     "out": ("out", str),
     "format": ("fmt", str),
 }

@@ -6,12 +6,16 @@ this is the family the incidence bound is proved for, and every plane the
 expander construction produces has this shape.
 
 Counting buckets planes by (u, v): all planes in a bucket share the value
-histogram of u*x + v*y + z over the point family, so the total cost is
+histogram of u*x + v*y + z over the point family Q, so the total cost is
 O(G * |Q| + |Pi|) with G the number of distinct (u, v) pairs, instead of the
-quadratic point-by-plane scan.  The planes are sorted by (u, v) and their
-histograms built slice by slice, at most CHUNK_ELEMS elements at a time, so
-memory stays bounded whatever G * order is.  Families may contain repeated
-triples; they count with multiplicity.
+quadratic point-by-plane scan.  The histograms of a chunk of groups come
+from one fused pass: G * min(order, |Q|) ring products, since u*x is taken
+once per distinct x (and v*y per distinct y), then G * |Q| integer adds and
+gathers, since the three terms add as carry-free spread values
+(Ring.additive_spread) read back by one gather.  The planes are sorted by
+(u, v) and their histograms built slice by slice, at most CHUNK_ELEMS
+elements at a time, so memory stays bounded whatever G * order is.
+Families may contain repeated triples; they count with multiplicity.
 
 File format: one triple per line as "x,y,z", optionally "x,y,z@w" with a
 positive integer weight (default 1).  Blank lines and lines starting with
@@ -26,6 +30,7 @@ import numpy as np
 
 from .report import BoundRow, CheckReport, sha256_prefix
 from .ring import Ring
+from .setalg import parse_index
 
 # weights and totals stay below this so bucket sums fit int64 with headroom
 MAX_TOTAL_WEIGHT = 1 << 31
@@ -97,8 +102,8 @@ def parse_family_lines(ring: Ring, lines) -> WeightedFamily:
         if len(toks) != 3:
             raise ValueError(f"line {lineno}: expected 'a,b,c' or 'a,b,c@w'")
         try:
-            triples.append([int(t) for t in toks])
-            weights.append(int(wtext) if at else 1)
+            triples.append([parse_index(t) for t in toks])
+            weights.append(parse_index(wtext) if at else 1)
         except ValueError:
             raise ValueError(f"line {lineno}: malformed integer") from None
     if not triples:
@@ -138,30 +143,31 @@ def _bucket_histogram(ring: Ring, points: np.ndarray, planes: np.ndarray, pw=Non
     """Histogram of u*x + v*y + z per distinct (u, v), keyed g * order + value.
 
     Returns (hist, group_of_plane).  With pw given the histogram is
-    weight-summed instead of counted.
+    weight-summed instead of counted.  The products u*x and v*y are taken
+    once per distinct x and y, and the three terms add as spread values
+    (Ring.additive_spread) gathered to the points, then read back once.
     """
     n = ring.order
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    spread, readback = ring.additive_spread(3)
+    xs, xi = np.unique(points[:, 0], return_inverse=True)
+    ys, yi = np.unique(points[:, 1], return_inverse=True)
+    sz = spread(points[:, 2])
     uv = planes[:, 0] * n + planes[:, 1]
     uniq, inverse = np.unique(uv, return_inverse=True)
     us, vs = uniq // n, uniq % n
     G = len(uniq)
     hist = np.zeros(G * n, dtype=np.int64)
-    chunk = max(1, CHUNK_ELEMS // max(1, len(x)))
+    chunk = max(1, CHUNK_ELEMS // len(points))
     for lo in range(0, G, chunk):
         hi = min(G, lo + chunk)
-        w = ring.add_arr(
-            ring.add_arr(
-                ring.mul_arr(us[lo:hi, None], x[None, :]),
-                ring.mul_arr(vs[lo:hi, None], y[None, :]),
-            ),
-            z[None, :],
-        )
-        keys = np.arange(hi - lo, dtype=np.int64)[:, None] * n + w
+        total = spread(ring.mul_arr(us[lo:hi, None], xs))[:, xi]
+        total += spread(ring.mul_arr(vs[lo:hi, None], ys))[:, yi]
+        total += sz
+        keys = np.arange(hi - lo, dtype=np.int64)[:, None] * n + readback(total)
         if pw is None:
             hist[lo * n : hi * n] += np.bincount(keys.ravel(), minlength=(hi - lo) * n)
         else:
-            np.add.at(hist[lo * n : hi * n], keys.ravel(), np.broadcast_to(pw, w.shape).ravel())
+            np.add.at(hist[lo * n : hi * n], keys.ravel(), np.broadcast_to(pw, keys.shape).ravel())
     return hist, inverse
 
 

@@ -36,7 +36,9 @@ int64 on the way out: the mul table filled in place by the kernel, row
 block by row block, the add and neg tables from their p (x p) digit table,
 since the additive group is (Z/p)**(r*s) digit by digit.  Above it the
 kernels run on every call.  Scalar ops on ``fqxr`` are the array ops on
-0-d input.
+0-d input.  A sum of a few terms can also be taken as a plain integer sum
+of spread indices and read back once (Ring.additive_spread); incidence
+counting adds its three terms that way.
 """
 
 from __future__ import annotations
@@ -551,8 +553,9 @@ class Ring:
         products[u * q + v] is the product of field indices u and v with its
         base-p digit j moved to B**j, for B = r * (p - 1) + 1; a sum of r such
         entries keeps every base-B digit below B.  readback[t] is the field
-        index whose digit j is digit j of t mod p.  Built once per ring
-        shape, from at most q * q <= 10**6 products (r > 1 bounds q).
+        index whose digit j is digit j of t mod p (see _spread_digits).  Built
+        once per ring shape, from at most q * q <= 10**6 products (r > 1
+        bounds q).
         """
         tables = _TABLES.setdefault(self.key, {})
         if "spread" not in tables:
@@ -560,14 +563,52 @@ class Ring:
             base = self.r * (p - 1) + 1
             u = np.arange(q, dtype=np.int64)
             prod = self._field_mul(u[:, None], u).reshape(-1)
-            t = np.arange(base**s, dtype=np.int64)
             tables["spread"] = (
-                sum((prod // p**j % p) * base**j for j in range(s)),
-                sum((t // base**j % base % p) * p**j for j in range(s)),
+                _spread_digits(prod, p, base, s),
+                _readback_digits(np.arange(base**s, dtype=np.int64), p, base, s),
             )
             for tab in tables["spread"]:
                 tab.flags.writeable = False
         return tables["spread"]
+
+    def additive_spread(self, terms: int):
+        """(spread, readback): maps on index arrays with
+        readback(spread(a_1) + ... + spread(a_k)) == a_1 + ... + a_k
+        for every k <= terms, the left-hand sum a plain integer sum.
+
+        ``zpr`` indices add as integers: spread is the identity and readback
+        one %.  ``fqxr`` adds in (Z/p)**(r*s), one base-p digit per
+        coordinate: spread moves digit j to B**j, B = terms * (p - 1) + 1, so
+        no base-B digit of a sum of terms carries, and readback takes each
+        base-B digit mod p (see _spread_digits).  Up to TABLE_MAX_ORDER both
+        are gathers from tables built once per ring shape: spread as int32,
+        readback as int16 on B**(r*s) sums (7**6 = 117,649 entries at order
+        729 for three terms).  Above it they run the digit arithmetic, as
+        _fqxr_op does, and no B**(r*s) table is built.
+        """
+        if self.kind == "zpr":
+            n = self.order
+            return (lambda a: a), (lambda t: t % n)
+        p, digits = self.p, self.r * self.s
+        base = terms * (p - 1) + 1
+        if self.order > TABLE_MAX_ORDER:
+            return (
+                lambda a: _spread_digits(a, p, base, digits),
+                lambda t: _readback_digits(t, p, base, digits),
+            )
+        tables = _TABLES.setdefault(self.key, {})
+        name = f"additive_spread_{terms}"
+        if name not in tables:
+            # a sum of terms spread values stays below base**digits, the
+            # readback's length, so int32 holds it
+            tables[name] = (
+                _spread_digits(np.arange(self.order), p, base, digits).astype(np.int32),
+                _readback_digits(np.arange(base**digits), p, base, digits).astype(np.int16),
+            )
+            for tab in tables[name]:
+                tab.flags.writeable = False
+        spread, readback = tables[name]
+        return spread.take, readback.take
 
     def _fqxr_op(self, kernel, build, *args: np.ndarray) -> np.ndarray:
         """kernel(*args), as one gather from its table up to TABLE_MAX_ORDER.
@@ -651,6 +692,18 @@ class Ring:
             self.add_arr(self.mul_arr(c2, self.mul_arr(x, x)), self.mul_arr(c1, x)),
             np.int64(c0),
         )
+
+
+def _spread_digits(a: np.ndarray, p: int, base: int, digits: int) -> np.ndarray:
+    """Indices a with base-p digit j moved to base**j: a sum of k such values,
+    k * (p - 1) < base, keeps every base-``base`` digit below base, so the
+    sum adds digit by digit with no carry."""
+    return sum((a // p**j % p) * base**j for j in range(digits))
+
+
+def _readback_digits(t: np.ndarray, p: int, base: int, digits: int) -> np.ndarray:
+    """The index whose base-p digit j is base-``base`` digit j of t mod p."""
+    return sum((t // base**j % base % p) * p**j for j in range(digits))
 
 
 def make_ring(

@@ -5,6 +5,9 @@ golden gamma 0x9E3779B97F4A7C15 and each output is the splitmix64 finalizer
 of the state.  Bounded draws use rejection below the largest multiple of the
 bound, so they are exactly uniform.  Subsets are drawn by a sparse partial
 Fisher-Yates shuffle, so a draw costs O(size) regardless of the ring order.
+sample_distinct computes its stream in one uint64 pass and checks every
+output against its exact rejection limit; only when one is rejected (rare
+unless the domain nears 2**64) does it walk the generator draw by draw.
 
 sample_subsets draws a whole block of subsets at once: the same generator
 runs on uint64 arrays, one state per row (numpy's uint64 arithmetic wraps
@@ -76,17 +79,44 @@ class SplitMix64:
 
 
 def sample_distinct(domain: int, count: int, seed: int) -> list[int]:
-    """count distinct values from [0, domain), by sparse partial Fisher-Yates."""
+    """count distinct values from [0, domain), by sparse partial Fisher-Yates.
+
+    Draw i is SplitMix64(seed).bounded(domain - i).  The stream's first count
+    outputs are computed at once and checked against their rejection limits;
+    when none is rejected, draw i is output i, and only the dict shuffle runs
+    in Python.  Otherwise the generator walks draw by draw.
+    """
     if not 1 <= count <= domain:
         raise ValueError(f"cannot draw {count} distinct values from {domain}")
-    gen = SplitMix64(seed)
+    steps = _drawn_steps(domain, count, seed)
+    if steps is None:
+        gen = SplitMix64(seed)
+        steps = [gen.bounded(domain - i) for i in range(count)]
     perm: dict[int, int] = {}
     out = []
-    for i in range(count):
-        j = i + gen.bounded(domain - i)
+    for i, step in enumerate(steps):
+        j = i + step
         out.append(perm.get(j, j))
         perm[j] = perm.get(i, i)
     return out
+
+
+def _drawn_steps(domain: int, count: int, seed: int) -> list[int] | None:
+    """[bounded(domain - i) for i < count] of SplitMix64(seed) when no output
+    of the stream is rejected, so that draw i is output i; else None.
+
+    Output i is accepted when it is below 2**64 - (2**64 mod m) for its bound
+    m = domain - i; 2**64 mod m is (-m) % m in uint64, and when it is 0
+    nothing is rejected.
+    """
+    if domain >= 1 << 64:
+        return None
+    v = _finalize_arr(_U64(seed & _MASK) + _U64(_GAMMA) * np.arange(1, count + 1, dtype=_U64))
+    m = _U64(domain) - np.arange(count, dtype=_U64)
+    rest = (_U64(0) - m) % m
+    if ((rest != 0) & (v >= _U64(0) - rest)).any():
+        return None
+    return (v % m).tolist()
 
 
 def bounded_arr(states: np.ndarray, m: int) -> np.ndarray:

@@ -83,18 +83,20 @@ class RSet:
         return f"RSet({self.ring.spec_string()}, {{{self.literal}}})"
 
 
-def parse_index(token: str) -> int:
-    """One index token of a literal: ASCII decimal digits, maybe a leading
-    '-', whitespace around allowed.
+def parse_index(token: str, what: str = "index") -> int:
+    """One integer token: ASCII decimal digits, maybe a leading '-',
+    whitespace around allowed.  Index tokens of literals and every integer
+    the config, the CLI and family files read go through it; what names the
+    token in the error.
 
-    The value is int()'s: a negative index is left for the range check to
+    The value is int()'s: a negative value is left for the range check to
     refuse, while '-0' reads as 0 and leading zeros are dropped ('007' is
     7).  int() alone would also read '1_0', '+1' and non-ASCII digits.
     """
     text = token.strip()
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"malformed index {token!r}")
+        raise ValueError(f"malformed {what} {token!r}")
     return int(text)
 
 

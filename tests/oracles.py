@@ -16,6 +16,7 @@ from sympy import Abs, Integer, Max, Min, Pow, Rational, false, root, sqrt, symp
 
 from fvrlab.checks import expander_rule
 from fvrlab.report import CheckReport, gates_hold, set_literal_or_digest
+from fvrlab.sampling import SplitMix64
 from fvrlab.setalg import RSet
 
 
@@ -179,6 +180,18 @@ def brute_energy(ring, members, d):
                     if ring.add(pw[a], pw[b]) == ring.add(pw[c], pw[e]):
                         count += 1
     return count
+
+
+def scalar_sample_distinct(domain, count, seed):
+    """The sparse partial Fisher-Yates shuffle, one generator draw at a time."""
+    gen = SplitMix64(seed)
+    perm = {}
+    out = []
+    for i in range(count):
+        j = i + gen.bounded(domain - i)
+        out.append(perm.get(j, j))
+        perm[j] = perm.get(i, i)
+    return out
 
 
 def brute_incidences(ring, points, planes):

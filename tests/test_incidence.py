@@ -99,32 +99,48 @@ def check_slices(groups, ring, planes, budget):
 BUDGETS = (CHUNK_ELEMS, 50)
 
 
+# order 6561: past TABLE_MAX_ORDER, its products and spread sums run the
+# digit arithmetic
+ABOVE_CAP = "fqxr:p=3,s=2,r=4"
+
+
+def point_counts(ring, count):
+    """count points, and on a small ring also more points than the order, so
+    the distinct-coordinate rows of _bucket_histogram are gathered to more
+    points than they hold and to fewer."""
+    return (count, ring.order + 5) if ring.order < 64 else (count,)
+
+
 def test_counts_match_brute(all_rings, monkeypatch):
     groups = histogram_groups(monkeypatch)
-    for ring, budget in itertools.product(all_rings, BUDGETS):
+    rings = [*all_rings, parse_ring_spec(ABOVE_CAP)]
+    for ring, budget in itertools.product(rings, BUDGETS):
         monkeypatch.setattr(incidence, "CHUNK_ELEMS", budget)
-        pts = sample_points(ring, 23, mix64(11, ring.order))
-        pls = sample_planes(ring, 17, mix64(12, ring.order))
-        want = brute_incidences(ring, pts.tolist(), pls.tolist())
-        assert count_incidences(ring, pts, pls) == want
-        check_slices(groups, ring, pls, budget)
+        for count in point_counts(ring, 8):
+            pts = sample_points(ring, count, mix64(11, ring.order + count))
+            pls = sample_planes(ring, 17, mix64(12, ring.order))
+            want = brute_incidences(ring, pts.tolist(), pls.tolist())
+            assert count_incidences(ring, pts, pls) == want
+            check_slices(groups, ring, pls, budget)
 
 
 def test_weighted_matches_brute(all_rings, monkeypatch):
     groups = histogram_groups(monkeypatch)
-    for ring, budget in itertools.product(all_rings, BUDGETS):
+    rings = [*all_rings, parse_ring_spec(ABOVE_CAP)]
+    for ring, budget in itertools.product(rings, BUDGETS):
         monkeypatch.setattr(incidence, "CHUNK_ELEMS", budget)
-        pts = sample_points(ring, 14, mix64(21, ring.order))
-        pls = sample_planes(ring, 11, mix64(22, ring.order))
-        wp = sample_weights(len(pts), 9, mix64(23, ring.order))
-        wq = sample_weights(len(pls), 9, mix64(24, ring.order))
-        pfam = WeightedFamily(ring, pts, np.array(wp))
-        qfam = WeightedFamily(ring, pls, np.array(wq))
-        want = brute_weighted_incidences(
-            ring, list(zip(pts.tolist(), wp)), list(zip(pls.tolist(), wq))
-        )
-        assert count_weighted_incidences(pfam, qfam) == want
-        check_slices(groups, ring, pls, budget)
+        for count in point_counts(ring, 7):
+            pts = sample_points(ring, count, mix64(21, ring.order + count))
+            pls = sample_planes(ring, 11, mix64(22, ring.order))
+            wp = sample_weights(len(pts), 9, mix64(23, ring.order))
+            wq = sample_weights(len(pls), 9, mix64(24, ring.order))
+            pfam = WeightedFamily(ring, pts, np.array(wp))
+            qfam = WeightedFamily(ring, pls, np.array(wq))
+            want = brute_weighted_incidences(
+                ring, list(zip(pts.tolist(), wp)), list(zip(pls.tolist(), wq))
+            )
+            assert count_weighted_incidences(pfam, qfam) == want
+            check_slices(groups, ring, pls, budget)
 
 
 def test_histograms_stay_bounded_on_a_large_ring():

@@ -176,3 +176,41 @@ def test_repeated_polynomial_fields_are_refused():
                          "--f=a=1;R=0,0,0;S=0,0,0;T=0,1,0;T=0,2,0",
                          "--A", "0,1,3", "--B", "all", "--C", "1,2,4")
     assert code == 2 and out == "" and "polynomial field 'T' given twice" in err
+
+
+F = "a=1;R=0,0,0;S=0,0,0;T=0,1,0"
+# each command with {} where one integer token goes; with "2" each one runs
+INTEGER_SLOTS = [
+    ("check", "T1_3", "--ring", RING, "--f", F, "--mode", "random:3,3,3:{}"),
+    ("check", "T1_3", "--ring", RING, "--f", F, "--mode", "random:3,{},3:2"),
+    ("check", "T1_5", "--ring", RING, "--mode", "exhaustive:{}"),
+    ("check", "T1_5", "--ring", RING, "--mode", "random:3:2", "--seed", "{}"),
+    ("check", "T1_9", "--ring", RING, "--mode", "random:3:2", "--d", "{}"),
+    ("check", "T2_4", "--ring", "zpr:p=3,r=1", "--mode", "random:3,3:2", "--max-weight", "{}"),
+    ("check", "T2_2", "--ring", "zpr:p=3,r=1", "--points", "{}", "--planes", "3"),
+    ("check", "T2_2", "--ring", "zpr:p=3,r=1", "--points", "3", "--planes", "{}"),
+]
+
+
+@pytest.mark.parametrize("token", ["1_0", "١", "+2", "²", "2.0", "0x2", "- 2"])
+def test_non_canonical_integer_tokens_are_refused(token, tmp_path, monkeypatch):
+    for argv in INTEGER_SLOTS:
+        code, out, err = run(*(arg.format(token) for arg in argv))
+        assert code == 2 and out == "" and ("malformed" in err or "bad mode" in err), argv
+        code, out, err = run(*(arg.format("2") for arg in argv))
+        assert code in (0, 1) and err == "", argv
+    # family files: a triple's index and a weight
+    good = tmp_path / "good.txt"
+    good.write_text("0,1,2@2\n")
+    for i, line in enumerate([f"0,{token},2@2", f"0,1,2@{token}"]):
+        bad = tmp_path / f"bad{i}.txt"
+        bad.write_text(line + "\n")
+        code, out, err = run("incidence", "--ring", "zpr:p=3,r=1", "--weighted",
+                             "--points-file", str(bad), "--planes-file", str(good))
+        assert code == 2 and out == "" and "line 1: malformed integer" in err
+    code, out, err = run("incidence", "--ring", "zpr:p=3,r=1", "--weighted",
+                         "--points-file", str(good), "--planes-file", str(good))
+    assert code == 0 and err == ""
+    monkeypatch.setenv("FVRLAB_WORKERS", token)
+    code, out, err = run("check", "T1_5", "--ring", RING, "--mode", "random:3:2")
+    assert code == 2 and out == "" and "malformed FVRLAB_WORKERS" in err

@@ -334,6 +334,41 @@ def test_digit_kernels_above_table_cap():
             assert ring.mul(x, ring.inv(x)) == 1
 
 
+# the all_rings rings, the largest tabled fqxr shape and one above the cap
+SPREAD_SPECS = (
+    "zpr:p=3,r=2", "zpr:p=3,r=3", "zpr:p=5,r=2", "fqxr:p=3,s=1,r=2", "fqxr:p=3,s=2,r=1",
+    "fqxr:p=3,s=3,r=2", "fqxr:p=3,s=2,r=4",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SPREAD_SPECS), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example("fqxr:p=3,s=3,r=2", 3, 0)
+@example("fqxr:p=3,s=2,r=4", 3, 0)
+def test_spread_sums_read_back_as_chained_adds(spec, terms, seed):
+    ring = parse_ring_spec(spec)
+    spread, readback = ring.additive_spread(3)
+    a = np.random.default_rng(seed).integers(0, ring.order, size=(terms, 64))
+    a[:, 0] = ring.order - 1  # every base-p digit p - 1: the largest spread sum
+    a[:, 1] = 0
+    want = a[0]
+    for row in a[1:]:
+        want = ring.add_arr(want, row)
+    assert readback(sum(spread(row) for row in a)).tolist() == want.tolist()
+
+
+def test_spread_tables_stop_at_the_table_cap():
+    # at order 729 the readback covers 7**6 spread sums; order 6561 would
+    # need 7**8 = 5.8M, so there the digits are read back arithmetically
+    at_cap, above = parse_ring_spec("fqxr:p=3,s=3,r=2"), parse_ring_spec("fqxr:p=3,s=2,r=4")
+    at_cap.additive_spread(3)
+    above.additive_spread(3)
+    spread, readback = ring_module._TABLES[at_cap.key]["additive_spread_3"]
+    assert (spread.dtype, readback.dtype, readback.size) == (np.int32, np.int16, 7**6)
+    assert not spread.flags.writeable and not readback.flags.writeable
+    assert "additive_spread_3" not in ring_module._TABLES.get(above.key, {})
+
+
 # -- valuation, units, ideals ---------------------------------------------------
 
 

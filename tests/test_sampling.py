@@ -9,6 +9,7 @@ from fvrlab.experiments import ExperimentConfig, _family, _random_masks, parse_m
 from fvrlab.ring import parse_ring_spec
 from fvrlab.sampling import (
     SplitMix64,
+    _drawn_steps,
     bounded_arr,
     code_triples,
     mix64,
@@ -19,6 +20,8 @@ from fvrlab.sampling import (
     sample_subsets,
     sample_unit_subset,
 )
+
+from oracles import scalar_sample_distinct
 
 RINGS = ("zpr:p=3,r=2", "fqxr:p=3,s=1,r=2", "zpr:p=3,r=4", "fqxr:p=3,s=2,r=2",
          "zpr:p=3,r=6", "fqxr:p=3,s=3,r=2")
@@ -87,6 +90,34 @@ def test_sweep_draws_equal_scalar_subsets(spec):
             for seed, mask in zip(seeds.tolist(), masks):
                 want = draw(ring, size, mix64(seed, 0))
                 assert np.array_equal(mask, want.mask), (spec, theorem, size)
+
+
+def test_sample_distinct_equals_the_scalar_walk():
+    # n**3 domains, as the point and plane families draw them: no output of
+    # the stream is rejected, so it is computed in one pass
+    for n, count in itertools.product((3, 9, 25, 27, 81, 729), (1, 2, 26, 450, 2000)):
+        domain = n**3
+        if count > domain:
+            continue
+        for t in range(6):
+            seed = mix64(n * count, t)
+            assert _drawn_steps(domain, count, seed) is not None
+            assert sample_distinct(domain, count, seed) == scalar_sample_distinct(
+                domain, count, seed
+            ), (domain, count, seed)
+    # a bound just above 2**63 rejects about half of all outputs, which
+    # forces the draw-by-draw walk; 2**64 - 1 rejects one output in 2**64
+    walked = {}
+    for domain, count in ((2**63 + 1, 1), (2**63 + 1000, 40), (2**64 - 1, 5)):
+        walked[domain] = 0
+        for t in range(25):
+            seed = mix64(domain % 1000 + count, t)
+            walked[domain] += _drawn_steps(domain, count, seed) is None
+            assert sample_distinct(domain, count, seed) == scalar_sample_distinct(
+                domain, count, seed
+            ), (domain, count, seed)
+    assert 5 < walked[2**63 + 1] < 20
+    assert walked[2**63 + 1000] == 25 and walked[2**64 - 1] == 0
 
 
 def test_bounded_arr_redraws_rejected_rows_only():
