@@ -9,8 +9,9 @@ Counting buckets planes by (u, v): all planes in a bucket share the value
 histogram of u*x + v*y + z over the point family Q, so the total cost is
 O(G * |Q| + |Pi|) with G the number of distinct (u, v) pairs, instead of the
 quadratic point-by-plane scan.  The histograms of a chunk of groups come
-from one fused pass: G * min(order, |Q|) ring products, since u*x is taken
-once per distinct x (and v*y per distinct y), then G * |Q| integer adds and
+from one fused pass: at most G * min(order, |Q|) ring products, since u*x
+is taken once per distinct x (and v*y per distinct y) when Q repeats them
+(at most half as many distinct values as points), then G * |Q| adds and
 gathers, since the three terms add as carry-free spread values
 (Ring.additive_spread) read back by one gather.  The planes are sorted by
 (u, v) and their histograms built slice by slice, at most CHUNK_ELEMS
@@ -144,13 +145,14 @@ def _bucket_histogram(ring: Ring, points: np.ndarray, planes: np.ndarray, pw=Non
 
     Returns (hist, group_of_plane).  With pw given the histogram is
     weight-summed instead of counted.  The products u*x and v*y are taken
-    once per distinct x and y, and the three terms add as spread values
-    (Ring.additive_spread) gathered to the points, then read back once.
+    once per distinct x and y when the points repeat them (_factors), and
+    the three terms add as spread values (Ring.additive_spread) gathered to
+    the points, then read back once.
     """
     n = ring.order
-    spread, readback = ring.additive_spread(3)
-    xs, xi = np.unique(points[:, 0], return_inverse=True)
-    ys, yi = np.unique(points[:, 1], return_inverse=True)
+    spread, readback = ring.additive_spread()
+    xs, xi = _factors(points[:, 0])
+    ys, yi = _factors(points[:, 1])
     sz = spread(points[:, 2])
     uv = planes[:, 0] * n + planes[:, 1]
     uniq, inverse = np.unique(uv, return_inverse=True)
@@ -169,6 +171,18 @@ def _bucket_histogram(ring: Ring, points: np.ndarray, planes: np.ndarray, pw=Non
         else:
             np.add.at(hist[lo * n : hi * n], keys.ravel(), np.broadcast_to(pw, keys.shape).ravel())
     return hist, inverse
+
+
+def _factors(col: np.ndarray):
+    """(values, take) with values[take] == col: the distinct entries of col
+    and its inverse index when they are at most half of it, else col itself
+    and a plain slice.  A product per distinct value gathered back to the
+    points pays off only when the points repeat their values; otherwise the
+    gather costs more than the products it saves."""
+    values, inverse = np.unique(col, return_inverse=True)
+    if 2 * len(values) <= len(col):
+        return values, inverse
+    return col, slice(None)
 
 
 def _plane_counts(ring: Ring, points: np.ndarray, planes: np.ndarray, pw=None):

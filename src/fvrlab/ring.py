@@ -57,6 +57,9 @@ TABLE_MAX_ORDER = 729
 # every table entry is an index below the order, so int16 holds it
 assert TABLE_MAX_ORDER < 2**15
 
+# terms a Ring.additive_spread sum may hold: u*x + v*y + z has three
+SPREAD_TERMS = 3
+
 # Cayley tables by Ring.key, read-only; see Ring._fqxr_op
 _TABLES: dict[tuple, dict[str, np.ndarray]] = {}
 
@@ -571,43 +574,42 @@ class Ring:
                 tab.flags.writeable = False
         return tables["spread"]
 
-    def additive_spread(self, terms: int):
+    def additive_spread(self):
         """(spread, readback): maps on index arrays with
         readback(spread(a_1) + ... + spread(a_k)) == a_1 + ... + a_k
-        for every k <= terms, the left-hand sum a plain integer sum.
+        for every k <= SPREAD_TERMS, the left-hand sum a plain integer sum.
 
         ``zpr`` indices add as integers: spread is the identity and readback
         one %.  ``fqxr`` adds in (Z/p)**(r*s), one base-p digit per
-        coordinate: spread moves digit j to B**j, B = terms * (p - 1) + 1, so
-        no base-B digit of a sum of terms carries, and readback takes each
+        coordinate: spread moves digit j to B**j, B = SPREAD_TERMS * (p - 1)
+        + 1, so no base-B digit of such a sum carries, and readback takes each
         base-B digit mod p (see _spread_digits).  Up to TABLE_MAX_ORDER both
         are gathers from tables built once per ring shape: spread as int32,
         readback as int16 on B**(r*s) sums (7**6 = 117,649 entries at order
-        729 for three terms).  Above it they run the digit arithmetic, as
-        _fqxr_op does, and no B**(r*s) table is built.
+        729).  Above it they run the digit arithmetic, as _fqxr_op does, and
+        no B**(r*s) table is built.
         """
         if self.kind == "zpr":
             n = self.order
             return (lambda a: a), (lambda t: t % n)
         p, digits = self.p, self.r * self.s
-        base = terms * (p - 1) + 1
+        base = SPREAD_TERMS * (p - 1) + 1
         if self.order > TABLE_MAX_ORDER:
             return (
                 lambda a: _spread_digits(a, p, base, digits),
                 lambda t: _readback_digits(t, p, base, digits),
             )
         tables = _TABLES.setdefault(self.key, {})
-        name = f"additive_spread_{terms}"
-        if name not in tables:
-            # a sum of terms spread values stays below base**digits, the
-            # readback's length, so int32 holds it
-            tables[name] = (
+        if "additive_spread" not in tables:
+            # a sum of SPREAD_TERMS spread values stays below base**digits,
+            # the readback's length, so int32 holds it
+            tables["additive_spread"] = (
                 _spread_digits(np.arange(self.order), p, base, digits).astype(np.int32),
                 _readback_digits(np.arange(base**digits), p, base, digits).astype(np.int16),
             )
-            for tab in tables[name]:
+            for tab in tables["additive_spread"]:
                 tab.flags.writeable = False
-        spread, readback = tables[name]
+        spread, readback = tables["additive_spread"]
         return spread.take, readback.take
 
     def _fqxr_op(self, kernel, build, *args: np.ndarray) -> np.ndarray:

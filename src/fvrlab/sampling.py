@@ -5,9 +5,10 @@ golden gamma 0x9E3779B97F4A7C15 and each output is the splitmix64 finalizer
 of the state.  Bounded draws use rejection below the largest multiple of the
 bound, so they are exactly uniform.  Subsets are drawn by a sparse partial
 Fisher-Yates shuffle, so a draw costs O(size) regardless of the ring order.
-sample_distinct computes its stream in one uint64 pass and checks every
-output against its exact rejection limit; only when one is rejected (rare
-unless the domain nears 2**64) does it walk the generator draw by draw.
+sample_distinct computes a stream of at least _STREAM_MIN_COUNT draws in one
+uint64 pass and checks every output against its exact rejection limit; it
+walks the generator draw by draw for fewer draws, or when an output is
+rejected (rare unless the domain nears 2**64).
 
 sample_subsets draws a whole block of subsets at once: the same generator
 runs on uint64 arrays, one state per row (numpy's uint64 arithmetic wraps
@@ -30,6 +31,9 @@ from .setalg import BLOCK_ELEMS, RSet
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _U64 = np.uint64
+# from this many draws on, one vectorized pass beats the scalar walk: both
+# take about 14 us at 24 draws (numpy 2.4, Python 3.11, one x86 core)
+_STREAM_MIN_COUNT = 24
 
 
 def _finalize(x: int) -> int:
@@ -81,21 +85,20 @@ class SplitMix64:
 def sample_distinct(domain: int, count: int, seed: int) -> list[int]:
     """count distinct values from [0, domain), by sparse partial Fisher-Yates.
 
-    Draw i is SplitMix64(seed).bounded(domain - i).  The stream's first count
-    outputs are computed at once and checked against their rejection limits;
-    when none is rejected, draw i is output i, and only the dict shuffle runs
-    in Python.  Otherwise the generator walks draw by draw.
+    Draw i is SplitMix64(seed).bounded(domain - i).  From _STREAM_MIN_COUNT
+    draws on, the stream's first count outputs are computed at once and
+    checked against their rejection limits; when none is rejected, draw i is
+    output i, and only the dict shuffle runs in Python.  Otherwise the
+    generator walks draw by draw.
     """
     if not 1 <= count <= domain:
         raise ValueError(f"cannot draw {count} distinct values from {domain}")
-    steps = _drawn_steps(domain, count, seed)
-    if steps is None:
-        gen = SplitMix64(seed)
-        steps = [gen.bounded(domain - i) for i in range(count)]
+    steps = _drawn_steps(domain, count, seed) if count >= _STREAM_MIN_COUNT else None
+    gen = SplitMix64(seed)
     perm: dict[int, int] = {}
     out = []
-    for i, step in enumerate(steps):
-        j = i + step
+    for i in range(count):
+        j = i + (gen.bounded(domain - i) if steps is None else steps[i])
         out.append(perm.get(j, j))
         perm[j] = perm.get(i, i)
     return out

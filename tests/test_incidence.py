@@ -105,10 +105,19 @@ ABOVE_CAP = "fqxr:p=3,s=2,r=4"
 
 
 def point_counts(ring, count):
-    """count points, and on a small ring also more points than the order, so
-    the distinct-coordinate rows of _bucket_histogram are gathered to more
-    points than they hold and to fewer."""
-    return (count, ring.order + 5) if ring.order < 64 else (count,)
+    """count points, and on a small ring also three times the order, so that
+    _bucket_histogram takes its products once per point (mostly distinct
+    coordinates) and once per distinct coordinate (at most a third)."""
+    return (count, 3 * ring.order) if ring.order < 64 else (count,)
+
+
+def test_factors_are_distinct_only_when_points_repeat_them():
+    col = np.array([4, 1, 4, 4, 1, 0])
+    values, take = incidence._factors(col)
+    assert values.tolist() == [0, 1, 4] and values[take].tolist() == col.tolist()
+    col = np.array([4, 1, 3, 4])
+    values, take = incidence._factors(col)
+    assert values is col and take == slice(None)
 
 
 def test_counts_match_brute(all_rings, monkeypatch):

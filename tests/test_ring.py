@@ -347,7 +347,7 @@ SPREAD_SPECS = (
 @example("fqxr:p=3,s=2,r=4", 3, 0)
 def test_spread_sums_read_back_as_chained_adds(spec, terms, seed):
     ring = parse_ring_spec(spec)
-    spread, readback = ring.additive_spread(3)
+    spread, readback = ring.additive_spread()
     a = np.random.default_rng(seed).integers(0, ring.order, size=(terms, 64))
     a[:, 0] = ring.order - 1  # every base-p digit p - 1: the largest spread sum
     a[:, 1] = 0
@@ -361,12 +361,12 @@ def test_spread_tables_stop_at_the_table_cap():
     # at order 729 the readback covers 7**6 spread sums; order 6561 would
     # need 7**8 = 5.8M, so there the digits are read back arithmetically
     at_cap, above = parse_ring_spec("fqxr:p=3,s=3,r=2"), parse_ring_spec("fqxr:p=3,s=2,r=4")
-    at_cap.additive_spread(3)
-    above.additive_spread(3)
-    spread, readback = ring_module._TABLES[at_cap.key]["additive_spread_3"]
+    at_cap.additive_spread()
+    above.additive_spread()
+    spread, readback = ring_module._TABLES[at_cap.key]["additive_spread"]
     assert (spread.dtype, readback.dtype, readback.size) == (np.int32, np.int16, 7**6)
     assert not spread.flags.writeable and not readback.flags.writeable
-    assert "additive_spread_3" not in ring_module._TABLES.get(above.key, {})
+    assert "additive_spread" not in ring_module._TABLES.get(above.key, {})
 
 
 # -- valuation, units, ideals ---------------------------------------------------

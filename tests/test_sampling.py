@@ -5,9 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from fvrlab import sampling
 from fvrlab.experiments import ExperimentConfig, _family, _random_masks, parse_mode
 from fvrlab.ring import parse_ring_spec
 from fvrlab.sampling import (
+    _STREAM_MIN_COUNT,
     SplitMix64,
     _drawn_steps,
     bounded_arr,
@@ -94,8 +96,10 @@ def test_sweep_draws_equal_scalar_subsets(spec):
 
 def test_sample_distinct_equals_the_scalar_walk():
     # n**3 domains, as the point and plane families draw them: no output of
-    # the stream is rejected, so it is computed in one pass
-    for n, count in itertools.product((3, 9, 25, 27, 81, 729), (1, 2, 26, 450, 2000)):
+    # the stream is rejected, so from _STREAM_MIN_COUNT draws on it is
+    # computed in one pass
+    counts = (1, 2, _STREAM_MIN_COUNT - 1, _STREAM_MIN_COUNT, 450, 2000)
+    for n, count in itertools.product((3, 9, 25, 27, 81, 729), counts):
         domain = n**3
         if count > domain:
             continue
@@ -118,6 +122,15 @@ def test_sample_distinct_equals_the_scalar_walk():
             ), (domain, count, seed)
     assert 5 < walked[2**63 + 1] < 20
     assert walked[2**63 + 1000] == 25 and walked[2**64 - 1] == 0
+
+
+def test_sample_distinct_walks_below_the_crossover(monkeypatch):
+    passes = []
+    monkeypatch.setattr(sampling, "_drawn_steps", lambda *args: passes.append(args))
+    domain = 81**3
+    for count in (1, _STREAM_MIN_COUNT - 1, _STREAM_MIN_COUNT):
+        assert sample_distinct(domain, count, 5) == scalar_sample_distinct(domain, count, 5)
+    assert passes == [(domain, _STREAM_MIN_COUNT, 5)]
 
 
 def test_bounded_arr_redraws_rejected_rows_only():
