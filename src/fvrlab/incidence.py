@@ -9,10 +9,11 @@ Counting buckets planes by (u, v): all planes in a bucket share the value
 histogram of u*x + v*y + z over the point family Q, so the total cost is
 O(G * |Q| + |Pi|) with G the number of distinct (u, v) pairs, instead of the
 quadratic point-by-plane scan.  The histograms of a chunk of groups come
-from one fused pass: at most G * min(order, |Q|) ring products, since u*x
-is taken once per distinct x (and v*y per distinct y) when Q repeats them
-(at most half as many distinct values as points), then G * |Q| adds and
-gathers, since the three terms add as carry-free spread values
+from one fused pass.  u*x is taken once per distinct x (and v*y per
+distinct y) when Q repeats them (at most half as many distinct values as
+points), else once per point: at most G * min(2 * order, |Q|) ring
+products.  Then come G * |Q| adds and gathers, since the three terms add as
+carry-free spread values
 (Ring.additive_spread) read back by one gather.  The planes are sorted by
 (u, v) and their histograms built slice by slice, at most CHUNK_ELEMS
 elements at a time, so memory stays bounded whatever G * order is.
