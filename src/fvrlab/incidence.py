@@ -13,10 +13,10 @@ from one fused pass.  u*x is taken once per distinct x (and v*y per
 distinct y) when Q repeats them (at most half as many distinct values as
 points), else once per point: at most G * min(2 * order, |Q|) ring
 products.  Then come G * |Q| adds and gathers, since the three terms add as
-carry-free spread values
-(Ring.additive_spread) read back by one gather.  The planes are sorted by
-(u, v) and their histograms built slice by slice, at most CHUNK_ELEMS
-elements at a time, so memory stays bounded whatever G * order is.
+carry-free spread values (Ring.additive_spread) read back by one gather.
+The planes are sorted by (u, v) and their histograms built slice by slice,
+at most CHUNK_ELEMS elements at a time, so memory stays bounded whatever
+G * order is.
 Families may contain repeated triples; they count with multiplicity.
 
 File format: one triple per line as "x,y,z", optionally "x,y,z@w" with a
