@@ -182,6 +182,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse reads the option value '--' (as in --A=--) as an empty list
+        if [] in vars(args).values():
+            raise ValueError("'--' is not an option value")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -528,7 +528,7 @@ def summarize(config: ExperimentConfig, reports: ReportList, inputs: int) -> dic
                 hi = (num, den)
     summary = {
         "theorem": config.theorem,
-        "ring": config.ring_spec,
+        "ring": _ring_of(config.ring_spec).spec_string(),
         "mode": config.mode.literal if config.mode else "single",
         "seed": config.seed,
         "inputs": inputs,

@@ -27,18 +27,19 @@ finite valuation rings that this module does not construct; ``fqxr``
 already realizes every (q, r) shape, which is all the experiments need.
 
 Each ring family has one arithmetic path.  ``zpr`` adds, negates and
-multiplies indices modulo p**r.  ``fqxr`` adds and negates base-p digit
-arrays, and multiplies coefficient by coefficient, each residue-field
-product gathered from the field's q x q product table, whose entries are
-discrete-log gathers.  Up to order TABLE_MAX_ORDER every add/neg/mul is
-one gather from an int16 Cayley table built once per ring shape, widened to
-int64 on the way out: the mul table filled in place by the kernel, row
-block by row block, the add and neg tables from their p (x p) digit table,
-since the additive group is (Z/p)**(r*s) digit by digit.  Above it the
-kernels run on every call.  Scalar ops on ``fqxr`` are the array ops on
-0-d input.  A sum of a few terms can also be taken as a plain integer sum
-of spread indices and read back once (Ring.additive_spread); incidence
-counting adds its three terms that way.
+multiplies indices modulo p**r.  ``fqxr`` has one additive representation,
+spread digits (Ring.additive_spread): its additive group is (Z/p)**(r*s),
+one base-p digit of the index per coordinate, and an index spread to a
+wider base adds as a plain integer with no carry, then reads back by one
+gather per chunk of digits.  add, neg and sub are each one such readback;
+incidence counting adds its three terms the same way.  With r*s = 1 the
+group is Z/p and ``fqxr`` adds as ``zpr`` does.  ``fqxr`` multiplies
+coefficient by coefficient, each residue-field product gathered from the
+field's q x q product table, whose entries are discrete-log gathers.  Up
+to order TABLE_MAX_ORDER a product is one gather from an int16 Cayley
+table built once per ring shape, filled in place by the kernel row block by
+row block, and widened to int64 on the way out; above it the kernel runs on
+every call.  Scalar ops on ``fqxr`` are the array ops on one element.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ import numpy as np
 
 DEFAULT_MAX_ORDER = 10**6
 
-# fqxr rings up to this order gather add/neg/mul from int16 Cayley tables
-# (the add and mul tables at order 729 take 1.06 MB each); larger ones run
-# the digit kernels
+# fqxr rings up to this order gather mul from an int16 Cayley table (1.06 MB
+# at order 729); larger ones run the digit kernel.  The spread tables of the
+# additive group cover chunks of at most this many indices (see
+# Ring.additive_spread)
 TABLE_MAX_ORDER = 729
 # every table entry is an index below the order, so int16 holds it
 assert TABLE_MAX_ORDER < 2**15
@@ -60,7 +62,7 @@ assert TABLE_MAX_ORDER < 2**15
 # terms a Ring.additive_spread sum may hold: u*x + v*y + z has three
 SPREAD_TERMS = 3
 
-# Cayley tables by Ring.key, read-only; see Ring._fqxr_op
+# mul tables by Ring.key, read-only; see Ring.mul_arr
 _TABLES: dict[tuple, dict[str, np.ndarray]] = {}
 
 
@@ -192,14 +194,15 @@ class Ring:
     The ``*_arr`` operations work elementwise on numpy integer arrays
     (broadcasting) and return int64; the set algebra and counting layers
     use them.  Scalar operations take and return plain ints; on ``fqxr``
-    they are the ``*_arr`` operations on 0-d input.  An ``fqxr`` ring of
-    order <= TABLE_MAX_ORDER gathers add/neg/mul from Cayley tables that
-    equal rings share (add and neg composed digit by digit from the digit
-    kernels' p-element tables, mul filled by the kernel); a larger one runs
-    the digit kernels on every call, so its scalar ops pay numpy's per-call
-    overhead for each digit.  Residue-field products are discrete-log
-    gathers at every order.  The constructor refuses p, s and r past
-    ``max_order`` before any primality test or power is computed.
+    they are the ``*_arr`` operations on one element.  An ``fqxr`` ring
+    with r*s > 1 adds, negates and subtracts in spread digits, through the
+    two tables its constructor composes (see additive_spread).  One of
+    order <= TABLE_MAX_ORDER gathers mul from a Cayley table that equal
+    rings share; a larger one runs the mul kernel on every call, so its
+    scalar mul pays numpy's per-call overhead for each coefficient.
+    Residue-field products are discrete-log gathers at every order.  The
+    constructor refuses p, s and r past ``max_order`` before any primality
+    test or power is computed.
     """
 
     def __init__(self, kind: str, p: int, s: int, r: int, max_order: int):
@@ -236,6 +239,11 @@ class Ring:
             self._red = self._reduction_rows()
         self._ppow = [p**j for j in range(s)]
         self._inv_table: np.ndarray | None = None
+        # the additive group is Z/order for zpr and for fqxr with r*s = 1,
+        # else (Z/p)**(r*s), added in spread digits (see additive_spread)
+        self._cyclic = kind == "zpr" or s * r == 1
+        if not self._cyclic:
+            self._spread, self._readback, self._top = self._spread_maps()
 
     # -- identity and description ------------------------------------------
 
@@ -334,18 +342,22 @@ class Ring:
             raise ValueError(f"index {a} out of range for order {self.order}")
         return a
 
+    # fqxr add, neg and sub are add_arr, neg_arr and sub_arr without the
+    # int64 widening, which costs a scalar more than its gathers do
     def add(self, a: int, b: int) -> int:
-        if self.kind == "zpr":
+        if self._cyclic:
             return (a + b) % self.order
-        return int(self.add_arr(a, b))
+        return int(self._readback(self._spread(a) + self._spread(b)))
 
     def neg(self, a: int) -> int:
-        if self.kind == "zpr":
+        if self._cyclic:
             return (-a) % self.order
-        return int(self.neg_arr(a))
+        return int(self._readback(self._top - self._spread(a)))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self._cyclic:
+            return (a - b) % self.order
+        return int(self._readback(self._spread(a) - self._spread(b) + self._top))
 
     def mul(self, a: int, b: int) -> int:
         if self.kind == "zpr":
@@ -418,19 +430,6 @@ class Ring:
 
     # -- array arithmetic ----------------------------------------------------
 
-    def _digits_arr(self, a: np.ndarray) -> np.ndarray:
-        """Base-p digits of index arrays, shape (..., r*s), lowest first."""
-        a = np.asarray(a, dtype=np.int64)
-        out = np.empty(a.shape + (self.r * self.s,), dtype=np.int64)
-        for k in range(self.r * self.s):
-            out[..., k] = a % self.p
-            a = a // self.p
-        return out
-
-    def _encode_arr(self, digits: np.ndarray) -> np.ndarray:
-        pows = self.p ** np.arange(self.r * self.s, dtype=np.int64)
-        return digits @ pows
-
     def _mod(self, t: np.ndarray) -> np.ndarray:
         """A zpr op's fresh result t, reduced in place: one temporary per op,
         and still a new array, which callers may change (see setalg._pairs)."""
@@ -438,36 +437,28 @@ class Ring:
         return t
 
     def add_arr(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.kind == "zpr":
-            return self._mod(a + b)
-        return self._fqxr_op(self._add_digits, self._digitwise_table, a, b)
+        if self._cyclic:
+            return self._mod(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64))
+        return self._readback(self._spread(a) + self._spread(b)).astype(np.int64)
 
     def neg_arr(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if self.kind == "zpr":
-            return self._mod(-a)
-        return self._fqxr_op(self._neg_digits, self._digitwise_table, a)
+        if self._cyclic:
+            return self._mod(-np.asarray(a, dtype=np.int64))
+        return self._readback(self._top - self._spread(a)).astype(np.int64)
 
     def sub_arr(self, a, b) -> np.ndarray:
-        if self.kind == "zpr":
+        if self._cyclic:
             return self._mod(np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64))
-        return self.add_arr(a, self.neg_arr(b))
+        return self._readback(self._spread(a) - self._spread(b) + self._top).astype(np.int64)
 
     def mul_arr(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.kind == "zpr":
             return self._mod(a * b)
-        return self._fqxr_op(self._mul_digits, self._row_block_table, a, b)
-
-    def _add_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        da, db = np.broadcast_arrays(self._digits_arr(a), self._digits_arr(b))
-        return self._encode_arr((da + db) % self.p)
-
-    def _neg_digits(self, a: np.ndarray) -> np.ndarray:
-        return self._encode_arr((-self._digits_arr(a)) % self.p)
+        if self.order > TABLE_MAX_ORDER:
+            return self._mul_digits(a, b)
+        return self._mul_table()[a, b].astype(np.int64)
 
     def _mul_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a * b as polynomials in x over the residue field, cut at x**r.
@@ -553,23 +544,18 @@ class Ring:
     def _spread_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The residue field's products, spread for carry-free sums.
 
-        products[u * q + v] is the product of field indices u and v with its
-        base-p digit j moved to B**j, for B = r * (p - 1) + 1; a sum of r such
-        entries keeps every base-B digit below B.  readback[t] is the field
-        index whose digit j is digit j of t mod p (see _spread_digits).  Built
-        once per ring shape, from at most q * q <= 10**6 products (r > 1
+        products[u * q + v] is the product of field indices u and v spread
+        to B = r * (p - 1) + 1 (see _spread_pair), so a sum of r such entries
+        adds with no carry; readback reads such a sum back to a field index.
+        Built once per ring shape, from at most q * q <= 10**6 products (r > 1
         bounds q).
         """
         tables = _TABLES.setdefault(self.key, {})
         if "spread" not in tables:
-            p, s, q = self.p, self.s, self.q
-            base = self.r * (p - 1) + 1
-            u = np.arange(q, dtype=np.int64)
+            u = np.arange(self.q, dtype=np.int64)
             prod = self._field_mul(u[:, None], u).reshape(-1)
-            tables["spread"] = (
-                _spread_digits(prod, p, base, s),
-                _readback_digits(np.arange(base**s, dtype=np.int64), p, base, s),
-            )
+            spread, readback = _spread_pair(self.p, self.r * (self.p - 1) + 1, self.s)
+            tables["spread"] = (spread[prod], readback)
             for tab in tables["spread"]:
                 tab.flags.writeable = False
         return tables["spread"]
@@ -579,83 +565,74 @@ class Ring:
         readback(spread(a_1) + ... + spread(a_k)) == a_1 + ... + a_k
         for every k <= SPREAD_TERMS, the left-hand sum a plain integer sum.
 
-        ``zpr`` indices add as integers: spread is the identity and readback
-        one %.  ``fqxr`` adds in (Z/p)**(r*s), one base-p digit per
-        coordinate: spread moves digit j to B**j, B = SPREAD_TERMS * (p - 1)
-        + 1, so no base-B digit of such a sum carries, and readback takes each
-        base-B digit mod p (see _spread_digits).  Up to TABLE_MAX_ORDER both
-        are gathers from tables built once per ring shape: spread as int32,
-        readback as int16 on B**(r*s) sums (7**6 = 117,649 entries at order
-        729).  Above it they run the digit arithmetic, as _fqxr_op does, and
-        no B**(r*s) table is built.
+        A cyclic additive group (``zpr``, or ``fqxr`` with r*s = 1) adds as
+        integers: spread is the identity and readback one %.  Otherwise see
+        _spread_maps.
         """
-        if self.kind == "zpr":
+        if self._cyclic:
             n = self.order
             return (lambda a: a), (lambda t: t % n)
+        return self._spread, self._readback
+
+    def _spread_maps(self):
+        """(spread, readback, top): additive_spread of an ``fqxr`` ring with
+        r*s > 1, and the spread value with every base-p digit equal to p.
+
+        Its additive group is (Z/p)**(r*s), one base-p digit per coordinate.
+        spread moves digit j to B**j, B = SPREAD_TERMS * (p - 1) + 1, so no
+        base-B digit of a sum of SPREAD_TERMS spread values carries, and
+        readback takes each base-B digit mod p (see _spread_pair).  Both
+        gather a chunk of c digits at a time, c the most digits with
+        p**c <= TABLE_MAX_ORDER (one at least), from an int32 spread table of
+        p**c entries and a readback table of B**c, int16 while p**c fits it
+        (7**6 = 117,649 entries for p = 3).  Every ring up to
+        TABLE_MAX_ORDER is one chunk, and no table exceeds
+        TABLE_MAX_ORDER**2 entries, as B < p**2.
+
+        top - spread(b) has digits p - b_j in [1, p], which read back as -b,
+        and spread(a) + top - spread(b) digits in [1, 2p - 1], below B, which
+        read back as a - b: so neg and sub are one readback each.
+        """
         p, digits = self.p, self.r * self.s
         base = SPREAD_TERMS * (p - 1) + 1
-        if self.order > TABLE_MAX_ORDER:
-            return (
-                lambda a: _spread_digits(a, p, base, digits),
-                lambda t: _readback_digits(t, p, base, digits),
-            )
-        tables = _TABLES.setdefault(self.key, {})
-        if "additive_spread" not in tables:
-            # a sum of SPREAD_TERMS spread values stays below base**digits,
-            # the readback's length, so int32 holds it
-            tables["additive_spread"] = (
-                _spread_digits(np.arange(self.order), p, base, digits).astype(np.int32),
-                _readback_digits(np.arange(base**digits), p, base, digits).astype(np.int16),
-            )
-            for tab in tables["additive_spread"]:
-                tab.flags.writeable = False
-        spread, readback = tables["additive_spread"]
-        return spread.take, readback.take
+        width = 1
+        while width < digits and p ** (width + 1) <= TABLE_MAX_ORDER:
+            width += 1
+        spread, readback = _spread_pair(p, base, width)
+        spread = spread.astype(np.int32)
+        readback = readback.astype(np.int16 if p**width <= 2**15 else np.int64)
+        spread.flags.writeable = readback.flags.writeable = False
+        top = p * sum(base**j for j in range(digits))
+        chunks = -(-digits // width)
+        if chunks == 1:
+            return spread.take, readback.take, top
+        # chunk k of an index is its base-p**c digit k, and of a spread sum
+        # its base-B**c digit k; int64 holds a whole sum
+        lo, hi = p**width, base**width
+        return (
+            lambda a: sum(
+                spread.take(a // lo**k % lo).astype(np.int64) * hi**k for k in range(chunks)
+            ),
+            lambda t: sum(
+                readback.take(t // hi**k % hi).astype(np.int64) * lo**k for k in range(chunks)
+            ),
+            top,
+        )
 
-    def _fqxr_op(self, kernel, build, *args: np.ndarray) -> np.ndarray:
-        """kernel(*args), as one gather from its table up to TABLE_MAX_ORDER.
-
-        The table holds the kernel's value at every index (pair) as int16; it
-        is build(kernel, len(args)), made on first use and shared by every
-        ring with the same key.  The gather is widened to int64, the dtype
-        every ``*_arr`` returns.
-        """
-        if self.order > TABLE_MAX_ORDER:
-            return kernel(*args)
-        tables = _TABLES.setdefault(self.key, {})
-        name = kernel.__name__
-        if name not in tables:
-            tab = build(kernel, len(args))
-            tab.flags.writeable = False
-            tables[name] = tab
-        return tables[name][args].astype(np.int64)
-
-    def _row_block_table(self, kernel, arity: int) -> np.ndarray:
-        """The table of a binary kernel (mul) on every index pair, written in
+    def _mul_table(self) -> np.ndarray:
+        """The int16 table of _mul_digits on every index pair, made on first
+        use and shared by every ring with the same key.  It is written in
         place row block by row block, which bounds the kernel's temporaries."""
-        x = np.arange(self.order, dtype=np.int64)
-        step = max(1, (1 << 15) // self.order)
-        tab = np.empty((self.order, self.order), dtype=np.int16)
-        for lo in range(0, self.order, step):
-            tab[lo : lo + step] = kernel(x[lo : lo + step, None], x)
-        return tab
-
-    def _digitwise_table(self, kernel, arity: int) -> np.ndarray:
-        """The table of a digit-by-digit kernel (add or neg) on every index.
-
-        The additive group is (Z/p)**(r*s), base-p digit k of the index being
-        coordinate k, so the table on k + 1 digits is the kernel's table on
-        one digit times p**k plus the table on k digits: each axis of length
-        p * p**k splits into (new digit, lower digits) by broadcasting.
-        """
-        p = self.p
-        digit = kernel(*np.ix_(*[np.arange(p, dtype=np.int64)] * arity)).astype(np.int16)
-        tab = np.zeros((1,) * arity, dtype=np.int16)
-        for k in range(self.r * self.s):
-            n = p**k
-            tab = digit.reshape((p, 1) * arity) * n + tab.reshape((1, n) * arity)
-            tab = tab.reshape((p * n,) * arity)
-        return tab
+        tables = _TABLES.setdefault(self.key, {})
+        if "mul" not in tables:
+            x = np.arange(self.order, dtype=np.int64)
+            step = max(1, (1 << 15) // self.order)
+            tab = np.empty((self.order, self.order), dtype=np.int16)
+            for lo in range(0, self.order, step):
+                tab[lo : lo + step] = self._mul_digits(x[lo : lo + step, None], x)
+            tab.flags.writeable = False
+            tables["mul"] = tab
+        return tables["mul"]
 
     def val_arr(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -696,16 +673,22 @@ class Ring:
         )
 
 
-def _spread_digits(a: np.ndarray, p: int, base: int, digits: int) -> np.ndarray:
-    """Indices a with base-p digit j moved to base**j: a sum of k such values,
-    k * (p - 1) < base, keeps every base-``base`` digit below base, so the
-    sum adds digit by digit with no carry."""
-    return sum((a // p**j % p) * base**j for j in range(digits))
+def _spread_pair(p: int, base: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(spread, readback) on indices of ``width`` base-p digits, as int64.
 
-
-def _readback_digits(t: np.ndarray, p: int, base: int, digits: int) -> np.ndarray:
-    """The index whose base-p digit j is base-``base`` digit j of t mod p."""
-    return sum((t // base**j % base % p) * p**j for j in range(digits))
+    spread[v] is v with base-p digit j moved to base**j: a sum of k such
+    values, k * (p - 1) < base, keeps every base-``base`` digit below base,
+    so the sum adds digit by digit with no carry.  readback[t], t <
+    base**width, is the index whose base-p digit j is base-``base`` digit j
+    of t mod p.  Both are composed a digit at a time by broadcasting: the
+    table on j + 1 digits is the new digit's values on the leading axis plus
+    the table on j digits on the trailing one.
+    """
+    spread = readback = np.zeros(1, dtype=np.int64)
+    for j in range(width):
+        spread = (np.arange(p)[:, None] * base**j + spread).ravel()
+        readback = (np.arange(base)[:, None] % p * p**j + readback).ravel()
+    return spread, readback
 
 
 def make_ring(
@@ -715,19 +698,41 @@ def make_ring(
     return Ring(kind, p, s, r, max_order)
 
 
+def parse_index(token: str, what: str = "index") -> int:
+    """One integer token: ASCII decimal digits, maybe a leading '-',
+    whitespace around allowed.  Index tokens of literals, ring-spec fields
+    and every integer the config, the CLI and family files read go through
+    it; what names the token in the error.
+
+    The value is int()'s: a negative value is left for the range check to
+    refuse, while '-0' reads as 0 and leading zeros are dropped ('007' is
+    7).  int() alone would also read '1_0', '+1' and non-ASCII digits.
+    """
+    text = token.strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"malformed {what} {token!r}")
+    return int(text)
+
+
 def parse_ring_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> Ring:
-    """Parse 'zpr:p=<int>,r=<int>' or 'fqxr:p=<int>,s=<int>,r=<int>'."""
+    """Parse 'zpr:p=<int>,r=<int>' or 'fqxr:p=<int>,s=<int>,r=<int>'.
+
+    A field's value is a parse_index token without the whitespace around it.
+    """
     kind, sep, rest = text.strip().partition(":")
     if not sep:
         raise ValueError(f"malformed ring spec {text!r}: missing ':'")
     fields = {}
     for part in rest.split(","):
         key, eq, val = part.partition("=")
-        if not eq or not val.lstrip("-").isdigit():
-            raise ValueError(f"malformed ring spec field {part!r}")
+        try:  # "" stands for a field without '=' or with whitespace
+            value = parse_index(val if eq and val == val.strip() else "")
+        except ValueError:
+            raise ValueError(f"malformed ring spec field {part!r}") from None
         if key in fields:
             raise ValueError(f"duplicate ring spec field {key!r}")
-        fields[key] = int(val)
+        fields[key] = value
     expected = {"zpr": {"p", "r"}, "fqxr": {"p", "s", "r"}}.get(kind)
     if expected is None:
         raise ValueError(f"unknown ring kind {kind!r}")

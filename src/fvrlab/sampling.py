@@ -7,8 +7,8 @@ bound, so they are exactly uniform.  Subsets are drawn by a sparse partial
 Fisher-Yates shuffle, so a draw costs O(size) regardless of the ring order.
 sample_distinct computes a stream of at least _STREAM_MIN_COUNT draws in one
 uint64 pass and checks every output against its exact rejection limit; it
-walks the generator draw by draw for fewer draws, or when an output is
-rejected (rare unless the domain nears 2**64).
+walks the generator draw by draw for fewer draws, and from the first
+rejected output of the stream on.
 
 sample_subsets draws a whole block of subsets at once: the same generator
 runs on uint64 arrays, one state per row (numpy's uint64 arithmetic wraps
@@ -87,39 +87,43 @@ def sample_distinct(domain: int, count: int, seed: int) -> list[int]:
 
     Draw i is SplitMix64(seed).bounded(domain - i).  From _STREAM_MIN_COUNT
     draws on, the stream's first count outputs are computed at once and
-    checked against their rejection limits; when none is rejected, draw i is
-    output i, and only the dict shuffle runs in Python.  Otherwise the
-    generator walks draw by draw.
+    checked against their rejection limits: up to the first rejected one,
+    draw i is output i, and only the dict shuffle runs in Python.  From
+    there on the generator walks draw by draw.
     """
     if not 1 <= count <= domain:
         raise ValueError(f"cannot draw {count} distinct values from {domain}")
-    steps = _drawn_steps(domain, count, seed) if count >= _STREAM_MIN_COUNT else None
-    gen = SplitMix64(seed)
+    steps = _drawn_steps(domain, count, seed) if count >= _STREAM_MIN_COUNT else []
+    # the k accepted draws took one output each, so the walk resumes at state
+    # seed + k * gamma
+    k = len(steps)
+    gen = SplitMix64(seed + _GAMMA * k)
     perm: dict[int, int] = {}
     out = []
     for i in range(count):
-        j = i + (gen.bounded(domain - i) if steps is None else steps[i])
+        j = i + (steps[i] if i < k else gen.bounded(domain - i))
         out.append(perm.get(j, j))
         perm[j] = perm.get(i, i)
     return out
 
 
-def _drawn_steps(domain: int, count: int, seed: int) -> list[int] | None:
-    """[bounded(domain - i) for i < count] of SplitMix64(seed) when no output
-    of the stream is rejected, so that draw i is output i; else None.
+def _drawn_steps(domain: int, count: int, seed: int) -> list[int]:
+    """[bounded(domain - i) for i < k] of SplitMix64(seed), k the index of
+    the stream's first rejected output (count if none is): up to there,
+    draw i is output i.
 
     Output i is accepted when it is below 2**64 - (2**64 mod m) for its bound
     m = domain - i; 2**64 mod m is (-m) % m in uint64, and when it is 0
     nothing is rejected.
     """
     if domain >= 1 << 64:
-        return None
+        return []
     v = _finalize_arr(_U64(seed & _MASK) + _U64(_GAMMA) * np.arange(1, count + 1, dtype=_U64))
     m = _U64(domain) - np.arange(count, dtype=_U64)
     rest = (_U64(0) - m) % m
-    if ((rest != 0) & (v >= _U64(0) - rest)).any():
-        return None
-    return (v % m).tolist()
+    rejected = (rest != 0) & (v >= _U64(0) - rest)
+    k = int(rejected.argmax()) if rejected.any() else count
+    return (v[:k] % m[:k]).tolist()
 
 
 def bounded_arr(states: np.ndarray, m: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ring import Ring
+from .ring import Ring, parse_index  # parse_index: re-exported for callers
 
 # elements in any one temporary of a block computation (a block of sweep
 # inputs, a block of grid points), so a block never moves peak memory
@@ -81,23 +81,6 @@ class RSet:
 
     def __repr__(self):
         return f"RSet({self.ring.spec_string()}, {{{self.literal}}})"
-
-
-def parse_index(token: str, what: str = "index") -> int:
-    """One integer token: ASCII decimal digits, maybe a leading '-',
-    whitespace around allowed.  Index tokens of literals and every integer
-    the config, the CLI and family files read go through it; what names the
-    token in the error.
-
-    The value is int()'s: a negative value is left for the range check to
-    refuse, while '-0' reads as 0 and leading zeros are dropped ('007' is
-    7).  int() alone would also read '1_0', '+1' and non-ASCII digits.
-    """
-    text = token.strip()
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"malformed {what} {token!r}")
-    return int(text)
 
 
 def parse_set_literal(ring: Ring, text: str) -> RSet:

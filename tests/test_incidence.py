@@ -99,8 +99,8 @@ def check_slices(groups, ring, planes, budget):
 BUDGETS = (CHUNK_ELEMS, 50)
 
 
-# order 6561: past TABLE_MAX_ORDER, its products and spread sums run the
-# digit arithmetic
+# order 6561: past TABLE_MAX_ORDER, its products run the digit kernel and
+# its spread sums gather in two chunks of digits
 ABOVE_CAP = "fqxr:p=3,s=2,r=4"
 
 

@@ -229,12 +229,13 @@ def test_cayley_tables_equal_the_digit_oracle(p, s, r):
     a, b = all_pairs(ring)
     assert (ring.mul_arr(a, b) == digit_kernel_mul(ring, a, b)).all()
     assert (ring.add_arr(a, b) == digit_kernel_add(ring, a, b)).all()
+    # sub and neg read back from their own spread sums, not through add
+    assert (digit_kernel_add(ring, ring.sub_arr(a, b), b) == a).all()
     idx = np.arange(ring.order)
     assert (digit_kernel_add(ring, idx, ring.neg_arr(idx)) == 0).all()
-    # the tables hold int16 and are shared read-only; every gather is int64
-    for name in ("_add_digits", "_neg_digits", "_mul_digits"):
-        tab = ring_module._TABLES[ring.key][name]
-        assert tab.dtype == np.int16 and not tab.flags.writeable
+    # the mul table holds int16 and is shared read-only; every gather is int64
+    tab = ring_module._TABLES[ring.key]["mul"]
+    assert tab.dtype == np.int16 and not tab.flags.writeable
     check_int64_results(ring)
 
 
@@ -316,7 +317,8 @@ def test_kernels_above_table_cap_equal_the_digit_oracle(p, s, r):
 
 
 def test_digit_kernels_above_table_cap():
-    # the one ring shape here whose production path is the digit kernels
+    # a ring shape whose mul runs the digit kernel and whose sums gather
+    # their spread digits in two chunks
     ring = parse_ring_spec("fqxr:p=3,s=2,r=4")  # order 6561
     assert ring.order > TABLE_MAX_ORDER
     a, b = np.random.default_rng(6561).integers(0, ring.order, size=(2, 30))
@@ -334,17 +336,25 @@ def test_digit_kernels_above_table_cap():
             assert ring.mul(x, ring.inv(x)) == 1
 
 
-# the all_rings rings, the largest tabled fqxr shape and one above the cap
+# the all_rings rings, the largest one-chunk fqxr shape, and three shapes of
+# two chunks (8, 6 and 12 base-p digits)
 SPREAD_SPECS = (
     "zpr:p=3,r=2", "zpr:p=3,r=3", "zpr:p=5,r=2", "fqxr:p=3,s=1,r=2", "fqxr:p=3,s=2,r=1",
-    "fqxr:p=3,s=3,r=2", "fqxr:p=3,s=2,r=4",
+    "fqxr:p=3,s=3,r=2", "fqxr:p=3,s=2,r=4", "fqxr:p=5,s=2,r=3", "fqxr:p=3,s=12,r=1",
 )
+
+
+def oracle_add(ring, a, b):
+    if ring.kind == "zpr":
+        return (a + b) % ring.order
+    return digit_kernel_add(ring, a, b)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(SPREAD_SPECS), st.integers(1, 3), st.integers(0, 2**32 - 1))
 @example("fqxr:p=3,s=3,r=2", 3, 0)
 @example("fqxr:p=3,s=2,r=4", 3, 0)
+@example("fqxr:p=3,s=12,r=1", 3, 0)
 def test_spread_sums_read_back_as_chained_adds(spec, terms, seed):
     ring = parse_ring_spec(spec)
     spread, readback = ring.additive_spread()
@@ -353,20 +363,43 @@ def test_spread_sums_read_back_as_chained_adds(spec, terms, seed):
     a[:, 1] = 0
     want = a[0]
     for row in a[1:]:
-        want = ring.add_arr(want, row)
+        want = oracle_add(ring, want, row)
     assert readback(sum(spread(row) for row in a)).tolist() == want.tolist()
+    assert ring.add_arr(a[0], a[-1]).tolist() == oracle_add(ring, a[0], a[-1]).tolist()
+    # sub and neg read back from top - spread(b), whose digits reach p
+    diff = ring.sub_arr(a[0], a[-1])
+    assert oracle_add(ring, diff, a[-1]).tolist() == a[0].tolist()
+    assert (oracle_add(ring, ring.neg_arr(a[-1]), a[-1]) == 0).all()
 
 
-def test_spread_tables_stop_at_the_table_cap():
-    # at order 729 the readback covers 7**6 spread sums; order 6561 would
-    # need 7**8 = 5.8M, so there the digits are read back arithmetically
-    at_cap, above = parse_ring_spec("fqxr:p=3,s=3,r=2"), parse_ring_spec("fqxr:p=3,s=2,r=4")
-    at_cap.additive_spread()
-    above.additive_spread()
-    spread, readback = ring_module._TABLES[at_cap.key]["additive_spread"]
-    assert (spread.dtype, readback.dtype, readback.size) == (np.int32, np.int16, 7**6)
-    assert not spread.flags.writeable and not readback.flags.writeable
-    assert "additive_spread" not in ring_module._TABLES.get(above.key, {})
+def test_spread_tables_hold_one_chunk_of_digits(monkeypatch):
+    # order 729 is one chunk: its readback gathers straight from the int16
+    # table of all 7**6 spread sums, which the constructor composes within
+    # little more than its own int64 size (0.94 MB)
+    tracemalloc.start()
+    try:
+        ring = parse_ring_spec("fqxr:p=3,s=3,r=2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20, peak
+    for take, dtype, size in zip(ring.additive_spread(), (np.int32, np.int16), (729, 7**6)):
+        tab = take.__self__
+        assert (tab.dtype, tab.size, tab.flags.writeable) == (dtype, size, False)
+    # order 6561 has 8 digits and gathers them in two chunks of 6 from the same
+    # tables, where one readback table on 8 digits would hold 7**8 = 5.8M entries
+    built = []
+    compose = ring_module._spread_pair
+    monkeypatch.setattr(
+        ring_module, "_spread_pair", lambda *args: built.append(compose(*args)) or built[-1]
+    )
+    ring = parse_ring_spec("fqxr:p=3,s=2,r=4")
+    assert [tab.size for tab in built[0]] == [729, 7**6]
+    x = np.arange(ring.order)
+    ring.mul_arr(x, x), ring.sub_arr(x, x[::-1]), ring.neg_arr(x)
+    sizes = [tab.size for pair in built for tab in pair]
+    sizes += [np.size(tab) for tabs in ring_module._TABLES[ring.key].values() for tab in tabs]
+    assert max(sizes) <= TABLE_MAX_ORDER**2
 
 
 # -- valuation, units, ideals ---------------------------------------------------

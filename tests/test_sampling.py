@@ -105,28 +105,35 @@ def test_sample_distinct_equals_the_scalar_walk():
             continue
         for t in range(6):
             seed = mix64(n * count, t)
-            assert _drawn_steps(domain, count, seed) is not None
+            assert len(_drawn_steps(domain, count, seed)) == count
             assert sample_distinct(domain, count, seed) == scalar_sample_distinct(
                 domain, count, seed
             ), (domain, count, seed)
-    # a bound just above 2**63 rejects about half of all outputs, which
-    # forces the draw-by-draw walk; 2**64 - 1 rejects one output in 2**64
-    walked = {}
-    for domain, count in ((2**63 + 1, 1), (2**63 + 1000, 40), (2**64 - 1, 5)):
-        walked[domain] = 0
+    # a bound just above 2**63 rejects about half of all outputs, and one
+    # near 531441**3 (sample_points on fqxr:p=3,s=12,r=1) up to 1 in 123, so
+    # the stream is cut at its first rejected output and the walk resumes
+    # there; 2**64 - 1 rejects one output in 2**64
+    cut, kept = {}, {}
+    for domain, count in ((2**63 + 1, 1), (2**63 + 1000, 40), (531441**3, 450), (2**64 - 1, 5)):
+        cut[domain] = kept[domain] = 0
         for t in range(25):
             seed = mix64(domain % 1000 + count, t)
-            walked[domain] += _drawn_steps(domain, count, seed) is None
+            steps = _drawn_steps(domain, count, seed)
+            cut[domain] += len(steps) < count
+            kept[domain] += len(steps)
             assert sample_distinct(domain, count, seed) == scalar_sample_distinct(
                 domain, count, seed
             ), (domain, count, seed)
-    assert 5 < walked[2**63 + 1] < 20
-    assert walked[2**63 + 1000] == 25 and walked[2**64 - 1] == 0
+    assert 5 < cut[2**63 + 1] < 20
+    assert cut[2**63 + 1000] == cut[531441**3] == 25 and cut[2**64 - 1] == 0
+    # the accepted prefixes: about one draw of 40, about a quarter of 450
+    assert 0 < kept[2**63 + 1000] < 25 * 5 and kept[531441**3] > 25 * 50
 
 
 def test_sample_distinct_walks_below_the_crossover(monkeypatch):
     passes = []
-    monkeypatch.setattr(sampling, "_drawn_steps", lambda *args: passes.append(args))
+    # an empty accepted prefix: the whole stream is walked
+    monkeypatch.setattr(sampling, "_drawn_steps", lambda *args: passes.append(args) or [])
     domain = 81**3
     for count in (1, _STREAM_MIN_COUNT - 1, _STREAM_MIN_COUNT):
         assert sample_distinct(domain, count, 5) == scalar_sample_distinct(domain, count, 5)
