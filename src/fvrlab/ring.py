@@ -53,8 +53,8 @@ DEFAULT_MAX_ORDER = 10**6
 
 # fqxr rings up to this order gather mul from an int16 Cayley table (1.06 MB
 # at order 729); larger ones run the digit kernel.  The spread tables of the
-# additive group cover chunks of at most this many indices (see
-# Ring.additive_spread)
+# additive group cover a chunk of base-p digits with at most this many values,
+# one digit at least (see Ring._spread_maps)
 TABLE_MAX_ORDER = 729
 # every table entry is an index below the order, so int16 holds it
 assert TABLE_MAX_ORDER < 2**15
@@ -62,7 +62,8 @@ assert TABLE_MAX_ORDER < 2**15
 # terms a Ring.additive_spread sum may hold: u*x + v*y + z has three
 SPREAD_TERMS = 3
 
-# mul tables by Ring.key, read-only; see Ring.mul_arr
+# mul's tables (Cayley table, field logs, spread products) by Ring.key,
+# read-only; see Ring.mul_arr
 _TABLES: dict[tuple, dict[str, np.ndarray]] = {}
 
 

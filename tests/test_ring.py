@@ -386,8 +386,8 @@ def test_spread_tables_hold_one_chunk_of_digits(monkeypatch):
     for take, dtype, size in zip(ring.additive_spread(), (np.int32, np.int16), (729, 7**6)):
         tab = take.__self__
         assert (tab.dtype, tab.size, tab.flags.writeable) == (dtype, size, False)
-    # order 6561 has 8 digits and gathers them in two chunks of 6 from the same
-    # tables, where one readback table on 8 digits would hold 7**8 = 5.8M entries
+    # order 6561 has 8 digits and gathers them in two chunks, of 6 and 2, from
+    # the same tables, where a readback on all 8 would hold 7**8 = 5.8M entries
     built = []
     compose = ring_module._spread_pair
     monkeypatch.setattr(
@@ -396,7 +396,8 @@ def test_spread_tables_hold_one_chunk_of_digits(monkeypatch):
     ring = parse_ring_spec("fqxr:p=3,s=2,r=4")
     assert [tab.size for tab in built[0]] == [729, 7**6]
     x = np.arange(ring.order)
-    ring.mul_arr(x, x), ring.sub_arr(x, x[::-1]), ring.neg_arr(x)
+    ring.mul_arr(x, x)
+    ring.sub_arr(x, x[::-1])
     sizes = [tab.size for pair in built for tab in pair]
     sizes += [np.size(tab) for tabs in ring_module._TABLES[ring.key].values() for tab in tabs]
     assert max(sizes) <= TABLE_MAX_ORDER**2
