@@ -18,18 +18,23 @@ membership mask per slot.  A single check is one row parsed from the
 A/B/C literals; an exhaustive block unranks its positions straight into
 masks; a random block runs sample_subsets on every trial and slot seed
 together, each row equal to the scalar draw.  A theorem with a block path
-(T1_3) takes the masks whole: one kernel sizes the image of every row, and
-the block's reports are concluded as columns, a ReportBlock.  Every other
-set theorem gets one RSet per slot and row through _run_input, and point
-and plane families (T2_2, T2_4) are built per input there; ReportBlock.runs
-turns those CheckReports into columns as the block collects them.  So every
-part of a sweep is a ReportBlock, which workers pickle as a few lists and
---out renders from one template.
+(T1_3, T7_1) takes the masks whole: one kernel counts every row, and the
+block's reports are concluded as columns.  T1_3 writes one report per
+input, a ReportBlock; T7_1 writes two, a bound report and a line report,
+so its part is an InputBlock holding one ReportBlock per report shape and
+rendering them input by input (its |A| = 1 rows, which take the short
+shapes, make a part of their own).  Every other set theorem gets one RSet
+per slot and row through _run_input, and point and plane families (T2_2,
+T2_4) are built per input there; ReportBlock.runs turns those
+CheckReports into columns as the block collects them.  So every part of a
+sweep is made of ReportBlocks, which workers pickle as a few lists and
+--out renders from one template each.
 
-run_experiment returns the blocks as a ReportList, which builds a
+run_experiment returns the parts as a ReportList, which builds a
 CheckReport only when one is indexed or iterated.  summarize folds the
-blocks one after another: verdict counts, the exact extremes by integer
-cross-multiplication, and the exact mean from per-denominator sums.
+parts one after another, in input order: verdict counts, the exact
+extremes by integer cross-multiplication, and the exact mean from
+per-denominator sums.
 
 What a sweep needs to know about each theorem id (its set slots, whether
 random sets are units only, the config keys it reads, and the check calls)
@@ -64,7 +69,7 @@ from .checks import (
     check_sum_square,
     expander_reports,
 )
-from .geometry import geometry_bound_report, line_count_report
+from .geometry import grid_reports
 from .incidence import WeightedFamily, incidence_bound_report, weighted_bound_report
 from .report import VERDICTS, CheckReport, ReportBlock, ReportList
 from .ring import Ring, parse_ring_spec
@@ -258,7 +263,7 @@ def _expander_spec(config: ExperimentConfig):
 
 
 def _expander_block(config: ExperimentConfig, ring: Ring, masks, seeds):
-    return expander_reports(_expander_spec(config), *masks, seeds)
+    return [expander_reports(_expander_spec(config), *masks, seeds)]
 
 
 def _shifted_image(config: ExperimentConfig, ring: Ring, sets, seed):
@@ -291,8 +296,8 @@ class Theorem:
     run: Callable | None = None
     units_only: bool = False  # random sets are drawn from the units
     reads: tuple[str, ...] = ()  # config keys read beyond _COMMON_KEYS and the set slots
-    # (config, ring, one (rows, order) mask per slot, seeds) -> reports of a
-    # block of inputs; without it each input goes through run
+    # (config, ring, one (rows, order) mask per slot, seeds) -> the parts of
+    # a block of inputs; without it each input goes through run
     block: Callable | None = None
 
 
@@ -317,13 +322,7 @@ THEOREMS = {
         reads=("points", "planes"),
     ),
     "T2_4": Theorem(0, _weighted_incidences, reads=("points", "planes", "max_weight")),
-    "T7_1": Theorem(
-        1,
-        lambda config, ring, sets, seed: [
-            geometry_bound_report(sets[0], seed=seed),
-            line_count_report(sets[0], seed=seed),
-        ],
-    ),
+    "T7_1": Theorem(1, block=lambda config, ring, masks, seeds: grid_reports(ring, masks[0], seeds)),
     "PLUN13": Theorem(
         1, lambda config, ring, sets, seed: [check_plunnecke_corollary(sets[0], seed=seed)]
     ),
@@ -417,9 +416,10 @@ def input_count(config: ExperimentConfig, ring: Ring) -> int:
 def _run_range(config: ExperimentConfig, lo: int, hi: int) -> list:
     """Reports of inputs lo..hi-1, walked in blocks of BLOCK_ELEMS // order inputs.
 
-    A theorem's block path gives one ReportBlock per block; every other
-    theorem runs each input through _run_input, and ReportBlock.runs turns
-    the block's CheckReports into columns.
+    A theorem with a block path (T1_3, T7_1) gives the parts of each block
+    from its masks whole; every other theorem runs each input through
+    _run_input, and ReportBlock.runs turns the block's CheckReports into
+    columns.
     """
     ring = _ring_of(config.ring_spec)
     theorem = THEOREMS[config.theorem]
@@ -429,7 +429,7 @@ def _run_range(config: ExperimentConfig, lo: int, hi: int) -> list:
         indices = range(start, min(hi, start + step))
         drawn = _block_sets(config, ring, indices)
         if theorem.block:
-            parts.append(theorem.block(config, ring, *drawn))
+            parts.extend(theorem.block(config, ring, *drawn))
         else:
             masks = None if drawn is None else drawn[0]  # None for a family theorem
             parts.extend(ReportBlock.runs(

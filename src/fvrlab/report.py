@@ -12,10 +12,12 @@ Python ints, verdict codes, seeds, set literals).  A block path builds one
 with :meth:`ReportBlock.conclude`, which applies the same verdict rule to
 every row; :meth:`ReportBlock.runs` turns concluded CheckReports into
 blocks, one per maximal run of consecutive reports that share theorem,
-ring, bound-row names and sets keys.  A :class:`ReportList` strings a
-sweep's blocks together in input order; indexing or iterating it builds
-each CheckReport on demand, while :func:`write_jsonl` and
-:func:`jsonl_chunks` render a block straight from its columns.
+ring, bound-row names and sets keys.  Inputs that write several reports
+each (T7_1) make an :class:`InputBlock`, one ReportBlock per report shape,
+interleaved input by input.  A :class:`ReportList` strings a sweep's parts
+together in input order; indexing or iterating it builds each CheckReport
+on demand, while :func:`write_jsonl` and :func:`jsonl_chunks` render a
+part straight from its columns.
 
 The JSONL wire format per line (integers as decimal strings):
 {"theorem": str, "ring": str, "hypotheses": [{"name", "ok", "lhs", "rhs"}],
@@ -388,11 +390,54 @@ class ReportBlock:
         return "".join(map(line.__mod__, zip(*texts)))
 
 
-class ReportList(Sequence):
-    """A sweep's reports in input order, from parts that are ReportBlocks.
+@dataclass
+class InputBlock:
+    """The reports of a block of inputs that write several reports each.
 
-    Indexing and iteration build each CheckReport of a block on demand;
-    ``parts`` gives the blocks themselves.
+    ``shapes`` holds one ReportBlock per report shape, all of one length:
+    row i of each is a report of input i.  The reports run input by input,
+    each input's in shape order, so report j is row j // len(shapes) of
+    shape j % len(shapes); counts, ratio rows and lines follow that order.
+    """
+
+    shapes: list[ReportBlock]
+
+    def __len__(self) -> int:
+        return sum(map(len, self.shapes))
+
+    def report(self, i: int) -> CheckReport:
+        row, shape = divmod(i, len(self.shapes))
+        return self.shapes[shape].report(row)
+
+    def sets_at(self, i: int) -> dict[str, str]:
+        row, shape = divmod(i, len(self.shapes))
+        return self.shapes[shape].sets_at(row)
+
+    def verdict_counts(self) -> dict[str, int]:
+        counts = [block.verdict_counts() for block in self.shapes]
+        return {verdict: sum(c[verdict] for c in counts) for verdict in VERDICTS}
+
+    def ratio_rows(self):
+        """(report, lhs, rhs) of every report with a ratio, in report order."""
+        k = len(self.shapes)
+        return sorted(  # report numbers are distinct, so only they are compared
+            (row * k + shape, lhs, rhs)
+            for shape, block in enumerate(self.shapes)
+            for row, lhs, rhs in block.ratio_rows()
+        )
+
+    def jsonl(self) -> str:
+        """Each shape's lines, from its template, interleaved input by input."""
+        lines = [block.jsonl().split("\n")[:-1] for block in self.shapes]
+        return "".join(line + "\n" for row in zip(*lines) for line in row)
+
+
+class ReportList(Sequence):
+    """A sweep's reports in input order, from parts that are ReportBlocks or
+    InputBlocks.
+
+    Indexing and iteration build each CheckReport of a part on demand;
+    ``parts`` gives the parts themselves.
     """
 
     def __init__(self, parts):

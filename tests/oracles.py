@@ -9,13 +9,14 @@ grids too large for the scalar loops.
 
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 from sympy import Abs, Integer, Max, Min, Pow, Rational, false, root, sqrt, sympify, true
 
 from fvrlab.checks import expander_rule
-from fvrlab.report import CheckReport, gates_hold, set_literal_or_digest
+from fvrlab.report import BoundRow, CheckReport, gates_hold, set_literal_or_digest
 from fvrlab.sampling import SplitMix64
 from fvrlab.setalg import RSet
 
@@ -310,6 +311,35 @@ def orbit_lines(A):
             counts = seen.setdefault(key, [len(grid.intersection(key)), 0])
             counts[1] += 1
     return seen
+
+
+def scalar_grid_reports(A, seed=None):
+    """The two T7_1 reports of one set, each concluded on its own from the
+    oracle counts: hit_collinear_triples, orbit_lines and
+    point_loop_weak_triples (see geometry.grid_reports for the rows)."""
+    ring = A.ring
+    q, r = ring.q, ring.r
+    na = len(A)
+    t, t_weak = hit_collinear_triples(A), point_loop_weak_triples(A)
+    n_l = [n for n, _ in orbit_lines(A).values()]
+    rows = [BoundRow("form_weak_relaxation", t <= t_weak, t, t_weak)]
+    sets = {"A": A.literal, "triples": str(t), "weak_triples": str(t_weak)}
+    gate = BoundRow("gate_two_points", na >= 2, na, 2)
+    line_sets = {"A": A.literal}
+    line_lhs, line_rhs = len(n_l) * q ** (4 * r - 2), min(q ** (6 * r - 2), na**6)
+    if na >= 2:
+        sum_nl_sq = sum(n * n for n in n_l)
+        rows.append(BoundRow("form_pair_coverage", na**4 <= sum_nl_sq, na**4, sum_nl_sq))
+        rows.append(BoundRow("form_line_bound", line_lhs <= line_rhs, line_lhs, line_rhs))
+        sets.update(lines=str(len(n_l)), sum_nl_sq=str(sum_nl_sq))
+        sets["line_ratio"] = repr(float(Fraction(line_lhs, line_rhs)))
+        line_sets["lines"] = str(len(n_l))
+    lhs = q**r * t
+    rhs = q ** (3 * r - 1) * na**3 + na**6 + 2 * q**r * na**4
+    return (
+        CheckReport.conclude("T7_1", ring, rows, sets, seed, lhs, rhs, holds=lhs <= rhs),
+        CheckReport.conclude("T7_1", ring, [gate], line_sets, seed, line_lhs, line_rhs),
+    )
 
 
 def brute_lines(ring, grid_points):

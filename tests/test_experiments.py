@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,11 +22,24 @@ from fvrlab.experiments import (
     run_experiment,
     subsets_up_to,
 )
-from fvrlab.report import CheckReport, ReportBlock, ReportList, jsonl_chunks
+from fvrlab.report import (
+    BoundColumn,
+    CheckReport,
+    InputBlock,
+    ReportBlock,
+    ReportList,
+    jsonl_chunks,
+)
 from fvrlab.ring import parse_ring_spec
 from fvrlab.sampling import mix64, sample_subset
-from fvrlab.setalg import parse_quadpoly
-from oracles import scalar_check_expander, subset_by_rank, summarize_reports, unrank_combination
+from fvrlab.setalg import parse_quadpoly, parse_set_literal
+from oracles import (
+    scalar_check_expander,
+    scalar_grid_reports,
+    subset_by_rank,
+    summarize_reports,
+    unrank_combination,
+)
 
 Z9 = "zpr:p=3,r=2"
 
@@ -260,7 +274,11 @@ def test_every_sweep_part_is_a_report_block(fields, monkeypatch):
     fields = dict(fields, mode=parse_mode(fields["mode"]))
     config = ExperimentConfig(ring_spec=Z9, seed=8, **fields)
     reports, summary = run_experiment(config)
-    assert all(isinstance(part, ReportBlock) for part in reports.parts)
+    # a T7_1 part holds one ReportBlock per report shape
+    kind = InputBlock if config.theorem == "T7_1" else ReportBlock
+    assert all(isinstance(part, kind) for part in reports.parts)
+    blocks = [block for part in reports.parts for block in getattr(part, "shapes", [part])]
+    assert all(isinstance(block, ReportBlock) for block in blocks)
     assert summary == summarize_reports(config, reports, summary["inputs"])
     text = "".join(jsonl_chunks(reports))
     assert text == "".join(rep.to_json_line() + "\n" for rep in reports)
@@ -304,6 +322,104 @@ def test_t7_1_emits_triple_and_line_reports_in_order():
         assert geo.seed == lines.seed
         assert any(h.name == "form_weak_relaxation" for h in geo.hypotheses)
         assert lines.verdict in ("ratio_recorded", "hypothesis_not_met")
+
+
+# T7_1 on z9, z25, F_3[x]/(x^2) and F_9[x]/(x^2): random, exhaustive (its
+# |A| = 1 rows first) and a literal A
+T71_RINGS = ("zpr:p=3,r=2", "zpr:p=5,r=2", "fqxr:p=3,s=1,r=2", "fqxr:p=3,s=2,r=2")
+T71_RUNS = [(spec, mode) for spec in T71_RINGS for mode in ("random:4:60", "exhaustive:3", None)]
+
+
+def t71_input(config, ring, index):
+    """The set of one T7_1 sweep input and its seed, drawn one set at a time."""
+    if config.mode is None:
+        return parse_set_literal(ring, config.literals["A"]), None
+    if config.mode.kind == "random":
+        seed = mix64(config.seed, index)
+        return sample_subset(ring, config.mode.sizes[0], mix64(seed, 0)), seed
+    return subset_by_rank(ring, config.mode.max_size, index), None
+
+
+@pytest.mark.parametrize("spec, mode", T71_RUNS)
+def test_t7_1_block_bytes_equal_the_oracle_reports(spec, mode, monkeypatch):
+    monkeypatch.delenv("FVRLAB_WORKERS", raising=False)
+    ring = parse_ring_spec(spec)
+    config = ExperimentConfig(
+        theorem="T7_1", ring_spec=spec, mode=mode and parse_mode(mode), seed=11,
+        literals={} if mode else {"A": "0,1,4,7"},
+    )
+    reports, summary = run_experiment(config)
+    total = summary["inputs"]
+    text = "".join(jsonl_chunks(reports))
+    lines = text.splitlines(keepends=True)
+    assert len(lines) == summary["reports"] == 2 * total
+    # inputs at block edges and at the ends of each size, and a stride of the rest
+    block = experiments.BLOCK_ELEMS // ring.order
+    edges = [*range(0, total, block), ring.order, ring.order + math.comb(ring.order, 2)]
+    near = {i for edge in edges for i in range(edge - 2, edge + 2)}
+    for i in sorted(near | set(range(0, total, max(1, total // 120)))):
+        if 0 <= i < total:
+            bound, line = scalar_grid_reports(*t71_input(config, ring, i))
+            assert lines[2 * i] + lines[2 * i + 1] == bound.to_json_line() + "\n" + line.to_json_line() + "\n", i
+    # ranges that split inside a block, one inside the |A| = 1 rows of an
+    # exhaustive sweep, concatenate to the same bytes
+    cuts = sorted({0, min(total, 5), min(total, 40), min(total, 1000)})
+    parts = [p for lo, hi in zip(cuts, cuts[1:]) for p in experiments._run_range(config, lo, hi)]
+    assert "".join(jsonl_chunks(ReportList(parts))) == "".join(lines[: 2 * cuts[-1]])
+    monkeypatch.setenv("FVRLAB_WORKERS", "2")
+    pooled, pooled_summary = run_experiment(config)
+    assert "".join(jsonl_chunks(pooled)) == text and pooled_summary == summary
+
+
+def test_t7_1_fixture_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "t71_z9_random.jsonl")
+    config = ExperimentConfig(theorem="T7_1", ring_spec=Z9, mode=parse_mode("random:4:25"), seed=104)
+    with open(fixture) as fh:
+        frozen = fh.read()
+    for workers in (None, "2"):
+        if workers:
+            monkeypatch.setenv("FVRLAB_WORKERS", workers)
+        else:
+            monkeypatch.delenv("FVRLAB_WORKERS", raising=False)
+        reports, _ = run_experiment(config)
+        assert "".join(jsonl_chunks(reports)) == frozen
+
+
+@pytest.mark.parametrize("spec, mode", [(Z9, "exhaustive:3"), ("zpr:p=3,r=4", "random:6:40"), (Z9, "random:1:6")])
+def test_t7_1_summary_equals_the_runs_summary(spec, mode):
+    # the interleaved parts fold as the same reports in one-row blocks do
+    config = ExperimentConfig(theorem="T7_1", ring_spec=spec, mode=parse_mode(mode), seed=9)
+    reports, summary = run_experiment(config)
+    assert {type(part) for part in reports.parts} == {InputBlock}
+    runs = ReportList(ReportBlock.runs(list(reports)))
+    assert len(runs.parts) == len(reports)  # the two shapes alternate
+    assert experiments.summarize(config, runs, summary["inputs"]) == summary
+    assert summary == summarize_reports(config, reports, summary["inputs"])
+
+
+def test_interleaved_argmin_is_the_first_least_report_in_input_order():
+    # least ratio 1/2: first at input 0's line report, then at input 1's
+    # bound report, which a shape-by-shape fold would have reached first
+    ring = parse_ring_spec(Z9)
+
+    def block(name, lhs, rhs, tag):
+        n = len(lhs)
+        column = BoundColumn(name, [True] * n, [1] * n, [1] * n)
+        sets = {"A": [f"{tag}{i}" for i in range(n)]}
+        holds = [x <= y for x, y in zip(lhs, rhs)] if name.startswith("form") else [None] * n
+        return ReportBlock.conclude("T7_1", ring, [column], sets, [None] * n, lhs, rhs, holds)
+
+    part = InputBlock([
+        block("form_weak_relaxation", [3, 2, 5], [4, 4, 2], "bound"),
+        block("gate_two_points", [1, 5, 1], [2, 1, 2], "line"),
+    ])
+    config = ExperimentConfig(theorem="T7_1", ring_spec=Z9, mode=parse_mode("random:2:3"))
+    one_row = ReportList(ReportBlock.runs(list(ReportList([part]))))
+    summary = experiments.summarize(config, ReportList([part]), 3)
+    assert summary == experiments.summarize(config, one_row, 3)
+    assert summary == summarize_reports(config, ReportList([part]), 3)
+    assert summary["argmin_sets"] == {"A": "line0"} and summary["ratio_min"] == "1/2"
+    assert summary["verdicts"] == {"pass": 2, "fail": 1, "hypothesis_not_met": 0, "ratio_recorded": 3}
 
 
 def test_t1_9_sweep_samples_units():

@@ -1,25 +1,31 @@
 """Collinearity, grid triple counts, and line counts over R x R."""
 
+import tracemalloc
 from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fvrlab import geometry
+from fvrlab.experiments import ExperimentConfig, parse_mode, run_experiment
 from fvrlab.geometry import (
     count_collinear_triples,
     count_collinear_triples_weak,
     count_lines,
     geometry_bound_report,
+    grid_counts,
     grid_lines,
+    grid_reports,
     is_collinear,
     line_count_report,
     line_through,
 )
 from fvrlab.ring import make_ring, parse_ring_spec
 from fvrlab.sampling import mix64, sample_subset
-from fvrlab.setalg import RSet, dilate, translate
+from fvrlab.setalg import RSet, dilate, member_masks, translate
 
 from oracles import (
     brute_collinear_triples,
@@ -108,7 +114,7 @@ def test_spanned_orbits_match_orbit_oracle(spec):
     ring = parse_ring_spec(spec)
     for size in range(2, 8):
         A = sample_subset(ring, size, mix64(76, size))
-        _, n_l, pairs = geometry._spanned_orbits(A)
+        _, n_l, pairs = geometry._spanned_orbits(ring, A.members[None])
         want = Counter(tuple(c) for c in orbit_lines(A).values())
         assert _orbit_multiset(n_l, pairs) == want, A.literal
 
@@ -116,8 +122,8 @@ def test_spanned_orbits_match_orbit_oracle(spec):
 def test_spanned_orbits_full_plane(z9, f3x2):
     for ring in (z9, f3x2):
         A = RSet.full(ring)
-        span, n_l, pairs = geometry._spanned_orbits(A)
-        assert len(span) == 216
+        rows, n_l, pairs = geometry._spanned_orbits(ring, A.members[None])
+        assert len(rows) == 216 and not rows.any()
         want = Counter(tuple(c) for c in orbit_lines(A).values())
         assert _orbit_multiset(n_l, pairs) == want
 
@@ -161,6 +167,20 @@ def test_line_keys_fit_int64_at_order_cap():
     assert key == ((2 * r - 1) * n + ring.q ** (r - 1) - 1) * n + n - 1 < 2 * r * n * n < 2**63
 
 
+def test_row_offset_keys_fit_int64_under_the_order_cap():
+    # an orbit pass offsets row i's keys by i * 2r * n**2, with at most
+    # max(1, BLOCK_ELEMS // n) rows; every ring order p**(s r) <= 10**6 counts
+    # (odd p stands in for the primes; r <= s * r = e)
+    p = np.arange(3, 10**6 + 1, 2, dtype=np.int64)
+    worst = 0
+    for e in range(1, 13):
+        n = p[p <= round(10**6 ** (1 / e))] ** e
+        n = n[n <= 10**6]
+        rows = np.maximum(1, geometry.BLOCK_ELEMS // n)
+        worst = max(worst, int((rows * 2 * e * n * n).max()))
+    assert worst == 2 * 7 * 7**14 < 10**13 < 2**63  # one row of zpr:p=7,r=7
+
+
 def test_counts_match_brute(all_rings):
     for ring in all_rings:
         for size in (1, 2, 3):
@@ -181,25 +201,79 @@ def test_triples_match_hit_oracle(spec):
 
 
 def test_bound_report_makes_one_orbit_pass(z9, monkeypatch):
-    # the triples, lines and n(l) share one orbit pass; the weak count is the other grid loop
-    calls = []
+    # the triples, lines and n(l) of an input come from one orbit pass over
+    # its row, for a single report and on the sweep path, where one pass
+    # takes a chunk of rows; the weak count is the other grid loop
+    passes, grids = [], []
+    orbits, grid = geometry._spanned_orbits, geometry._grid
 
-    def counted(name, real):
-        def wrapper(A):
-            calls.append(name)
-            return real(A)
+    def counted_orbits(ring, members):
+        passes.append(len(members))
+        return orbits(ring, members)
 
-        return wrapper
+    def counted_grid(members):
+        grids.append(len(members))
+        return grid(members)
 
-    for name in ("_spanned_orbits", "_grid"):
-        monkeypatch.setattr(geometry, name, counted(name, getattr(geometry, name)))
+    monkeypatch.setattr(geometry, "_spanned_orbits", counted_orbits)
+    monkeypatch.setattr(geometry, "_grid", counted_grid)
+    monkeypatch.delenv("FVRLAB_WORKERS", raising=False)
     A = sample_subset(z9, 4, mix64(75, 9))
     rep = geometry_bound_report(A)
-    assert calls.count("_spanned_orbits") == 1 and calls.count("_grid") == 2
+    assert passes == [1] and grids == [1, 1]
     assert rep.sets["triples"] == str(hit_collinear_triples(A))
-    calls.clear()
+    passes.clear()
     geometry_bound_report(RSet.from_indices(z9, [4]))
-    assert calls == ["_grid"]
+    assert passes == []  # a single point spans no line
+    # both reports of each of 40 inputs from one pass over its row
+    config = ExperimentConfig(
+        theorem="T7_1", ring_spec="zpr:p=3,r=4", mode=parse_mode("random:6:40"), seed=7
+    )
+    reports, summary = run_experiment(config)
+    assert sum(passes) == 40 and len(passes) < 40 and summary["reports"] == 80
+    # exhaustive: the nine |A| = 1 rows make no pass, the 36 pairs one each
+    passes.clear()
+    config = ExperimentConfig(theorem="T7_1", ring_spec="zpr:p=3,r=2", mode=parse_mode("exhaustive:2"))
+    assert run_experiment(config)[1]["inputs"] == 45 and sum(passes) == 36
+
+
+def test_a_forty_row_block_peaks_below_one_megabyte():
+    # rows are taken in chunks of _CHUNK_ELEMS W entries, and every slice is bounded
+    ring = parse_ring_spec("zpr:p=3,r=4")
+    members = np.array([sample_subset(ring, 6, mix64(77, i)).members for i in range(40)])
+    masks = member_masks(ring.order, members)
+    seeds = list(range(40))
+    grid_reports(ring, masks, seeds)  # ring tables are built once, outside the count
+    tracemalloc.start()
+    try:
+        grid_reports(ring, masks, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
+
+
+WEAK_RINGS = ["zpr:p=3,r=2", "zpr:p=5,r=2", "zpr:p=3,r=3", "fqxr:p=3,s=1,r=2", "fqxr:p=3,s=2,r=2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(WEAK_RINGS),
+    sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    seed=st.integers(0, 2**64 - 1),
+    block=st.sampled_from([None, 64]),
+)
+@example(spec="fqxr:p=3,s=2,r=2", sizes=[8, 8], seed=1, block=64)
+def test_weak_count_from_the_alternating_form(spec, sizes, seed, block):
+    # with BLOCK_ELEMS = 64 a middle point's (a, c) rectangle of a 64-point
+    # grid is cut into slices of a few a, so the slices split a row
+    ring = parse_ring_spec(spec)
+    sets = [sample_subset(ring, k, mix64(seed, i)) for i, k in enumerate(sizes)]
+    with pytest.MonkeyPatch.context() as mp:
+        if block:
+            mp.setattr(geometry, "BLOCK_ELEMS", block)
+        t_weak = grid_counts(ring, np.stack([A.mask for A in sets]))[0]
+    assert t_weak == [point_loop_weak_triples(A) for A in sets]
 
 
 def test_weak_count_dominates(z9, f9, f3x2):
@@ -215,8 +289,8 @@ def test_weak_count_dominates(z9, f9, f3x2):
             if is_collinear_weak(ring, p1, p2, p3)
         )
         assert weak == want
-    # |A| = 8: 64 grid points, 16 base points per block of BLOCK_ELEMS products
-    assert geometry.BLOCK_ELEMS // 64**2 == 16
+    # |A| = 8: 64 grid points, so a chunk of _CHUNK_ELEMS W entries holds two rows
+    assert geometry._CHUNK_ELEMS // 64**2 == 2
     for ring in (z9, f3x2):
         A = sample_subset(ring, 8, mix64(72, 8))
         assert count_collinear_triples(A) <= count_collinear_triples_weak(A)

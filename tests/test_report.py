@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 import re
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,7 @@ from fvrlab.report import (
     BoundColumn,
     BoundRow,
     CheckReport,
+    InputBlock,
     ReportBlock,
     ReportList,
     jsonl_chunks,
@@ -80,8 +82,9 @@ def test_to_json_line_is_json_dumps(rep):
 
 
 @st.composite
-def blocks(draw):
-    n = draw(st.integers(1, 6))
+def blocks(draw, n=None):
+    if n is None:
+        n = draw(st.integers(1, 6))
 
     def column(values):
         return draw(st.lists(values, min_size=n, max_size=n))
@@ -123,6 +126,24 @@ def test_block_lines_are_json_dumps_of_its_reports(block):
     mixed = ReportList([block, *ReportBlock.runs(run[:1]), block])
     assert "".join(jsonl_chunks(mixed)) == "".join(r.to_json_line() + "\n" for r in mixed)
     assert [r.to_json_line() for r in mixed[::-1]] == [r.to_json_line() for r in reversed(mixed)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(blocks(n), min_size=1, max_size=3)))
+def test_input_block_interleaves_its_shapes_input_by_input(shapes):
+    part = InputBlock(shapes)
+    k = len(shapes)
+    run = [shapes[j % k].report(j // k) for j in range(len(part))]
+    assert len(part) == k * len(shapes[0]) == len(run)
+    assert part.jsonl() == "".join(rep.to_json_line() + "\n" for rep in run)
+    assert [part.report(j).to_json_line() for j in range(len(part))] == [r.to_json_line() for r in run]
+    assert [part.sets_at(j) for j in range(len(part))] == [r.sets for r in run]
+    assert part.verdict_counts() == verdict_counts(run)
+    ratios = [(j, Fraction(lhs, rhs)) for j, lhs, rhs in part.ratio_rows()]
+    assert ratios == [(j, r.ratio) for j, r in enumerate(run) if r.ratio is not None]
+    # workers send parts back pickled
+    assert pickle.loads(pickle.dumps(part)).jsonl() == part.jsonl()
+    assert list(ReportList([part])) == run
 
 
 @st.composite
